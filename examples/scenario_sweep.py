@@ -2,7 +2,7 @@
 """Drive the experiment layer from Python: registry → sweep → artifacts.
 
 Resolves the Table 2 scenario down to one circuit, fans it out over a
-process pool, saves JSON/CSV artifacts, and renders the paper-shaped
+chunked process pool, saves JSON/CSV artifacts, and renders the paper-shaped
 report — the same pipeline as ``repro tables --table 2``, but as a
 library tour for building custom studies on top of.
 
@@ -23,11 +23,11 @@ def main() -> None:
         print(f"  {cell.cell_id}")
 
     # Cells are pure functions of their spec, so the process pool returns
-    # exactly what serial execution would — just faster.
+    # exactly what serial execution would — just faster.  A workers count
+    # selects the chunked backend (contiguous cells per pool task).
     records = run_sweep(
         cells,
         workers=4,
-        processes=True,
         progress=lambda i, n, r: print(f"  [{i}/{n}] {r.cell_id}"),
     )
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
+from repro.parallel.mpi.backend import CLUSTERS
+
 if TYPE_CHECKING:  # import cycle guard: experiments.artifacts imports runners
     from repro.experiments.artifacts import RunRecord
 
@@ -410,13 +412,12 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
     """Speedup-scenario layout: execution backends side by side.
 
     One row per (strategy, p); the sim columns are virtual model-seconds
-    against the sim serial baseline, the mp/socket columns host
-    wall-clock against that backend's own serial baseline — the clock
-    domains never mix (Tables 2/3 report exactly this wall-clock view
-    for the real cluster).  Columns appear for the backends actually
-    present in the records (always at least sim and mp, so pre-socket
-    artifacts render unchanged); points one backend cannot reach (the
-    socket-only p > 16 ladder) show "-" in the other columns.
+    against the sim serial baseline, the socket columns host wall-clock
+    against the socket serial baseline — the clock domains never mix
+    (Tables 2/3 report exactly this wall-clock view for the real
+    cluster).  Every backend in :data:`CLUSTERS` gets its columns;
+    points one backend did not run (the socket-only p > 16 ladder) show
+    "-" in the other columns.
     """
     from repro.analysis.speedup import backend_speedup
 
@@ -426,11 +427,6 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
 
     def cluster_of(r: "RunRecord") -> str:
         return r.params.get("cluster", "sim")
-
-    present = {cluster_of(r) for r in ok}
-    domains = tuple(
-        d for d in ("sim", "mp", "socket") if d in present or d in ("sim", "mp")
-    )
 
     def cell_cols(row: dict, r: "RunRecord" | None, domain: str,
                   base: float | None) -> None:
@@ -453,7 +449,7 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
             k: (r.outcome or {}).get("runtime") for k, r in serials.items()
         }
         row: dict[str, Any] = {**_label(g, multi_seed), "strategy": "serial", "p": 1}
-        for domain in domains:
+        for domain in CLUSTERS:
             cell_cols(row, serials.get(domain), domain, base.get(domain))
         rows.append(row)
         keyed: dict[tuple[str, int], dict[str, "RunRecord"]] = {}
@@ -465,14 +461,14 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
         for label_p in sorted(keyed):
             label, p = label_p
             row = {**_label(g, multi_seed), "strategy": label, "p": p}
-            for domain in domains:
+            for domain in CLUSTERS:
                 cell_cols(row, keyed[label_p].get(domain), domain,
                           base.get(domain))
             rows.append(row)
     head = " | ".join(
         f"{d} (model-seconds, × vs {d} serial)" if d == "sim"
         else f"{d} (wall-seconds, × vs {d} serial)"
-        for d in domains
+        for d in CLUSTERS
     )
     return render_table(rows, title=title or f"Speedup — {head}")
 

@@ -6,7 +6,7 @@ record schema).  The checker reconstructs happens-before *offline* —
 nothing rides on the wire, so traced runs stay bit-identical:
 
 1. **Pairing** — point-to-point events pair by the FIFO-per-channel
-   guarantee all three backends share (non-overtaking per
+   guarantee every backend shares (non-overtaking per
    ``(src, dst, tag)``): the k-th receive rank ``b`` completes from
    ``(a, tag)`` matches the k-th send ``a → b`` with that tag.  A recv
    whose matched send does not exist in the sender's trace is a **P506**

@@ -9,8 +9,8 @@ Subcommands
     the outcome; ``--out`` also writes a JSON/CSV artifact.
 ``repro sweep``
     Run a named scenario or an open-ended ``circuit × strategy × p ×
-    pattern`` grid through a sweep backend (``serial`` / ``process`` /
-    ``chunked``), writing artifacts.  ``--shard i/N`` runs one
+    pattern`` grid through a sweep backend (``serial`` / ``chunked``),
+    writing artifacts.  ``--shard i/N`` runs one
     deterministic slice of the grid (CI/cluster fan-out); ``--resume``
     replays completed cells from the on-disk cell cache and re-runs only
     the missing or failed ones.
@@ -125,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Type III retry threshold (default ~4%% of budget)")
     p_run.add_argument("--cluster", default="sim", choices=list(CLUSTERS),
                        help="execution backend: deterministic simulated "
-                            "cluster (model-seconds), real OS processes "
-                            "over a pipe mesh (mp, p <= 16) or over the "
-                            "socket router (socket, p up to 256; both "
+                            "cluster (model-seconds) or real OS processes "
+                            "over the socket router (socket, p up to 256, "
                             "wall-clock)")
     p_run.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="run deadline for the real-process backends "
+                       help="run deadline for the real-process backend "
                             "(default 600s); ignored with --cluster sim")
     p_run.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="arm a deterministic fault plan on the run, "
@@ -177,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tiny budgets/circuits (CI); default scenario: smoke")
     p_sweep.add_argument("--cluster", default=None, choices=list(CLUSTERS),
                          help="force every cell onto one cluster backend "
-                              "(sim: deterministic model-seconds; mp/socket: "
+                              "(sim: deterministic model-seconds; socket: "
                               "real processes, wall-clock)")
     p_sweep.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="run deadline for cells on the real-process "
-                              "backends (default 600s); sim cells are "
+                              "backend (default 600s); sim cells are "
                               "unaffected")
     p_sweep.add_argument("--inject-faults", default=None, metavar="SPEC",
                          help="arm a deterministic fault plan on every "
@@ -202,12 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="force every cell onto one allocation "
                               "evaluation path (see `repro run`)")
     p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (implies --backend process)")
-    p_sweep.add_argument("--processes", action="store_true",
-                         help="fan cells out over a process pool")
+                         help="process-pool size (implies --backend chunked)")
     p_sweep.add_argument("--backend", default=None, choices=sorted(BACKENDS),
                          help="execution backend (default: serial, or "
-                              "process when --processes/--workers given)")
+                              "chunked when --workers is given)")
     p_sweep.add_argument("--chunk-size", type=int, default=None,
                          help="cells per pool task for --backend chunked")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
@@ -239,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="run deadline for cells on the real-process "
-                               "backends (default 600s)")
+                               "backend (default 600s)")
     p_tables.add_argument("--inject-faults", default=None, metavar="SPEC",
                           help="arm a deterministic fault plan on every "
                                "parallel cell")
@@ -255,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--scale", type=int, default=100)
     p_tables.add_argument("--smoke", action="store_true",
                           help="one cheap circuit, minimal iterations")
-    p_tables.add_argument("--workers", type=int, default=None)
-    p_tables.add_argument("--processes", action="store_true")
+    p_tables.add_argument("--workers", type=int, default=None,
+                          help="process-pool size (cells run in chunks)")
     p_tables.add_argument("--out", default="artifacts")
     p_tables.set_defaults(func=cmd_tables)
 
@@ -406,15 +403,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if args.cluster != "sim":
         if args.strategy == "profile":
-            print("--cluster mp|socket does not apply to the in-process "
+            print("--cluster socket does not apply to the in-process "
                   "profile pseudo-strategy", file=sys.stderr)
             return 2
         params["cluster"] = args.cluster
         if args.deadline is not None:
             params["deadline"] = args.deadline
     elif args.deadline is not None:
-        print("--deadline applies to the real-process backends "
-              "(--cluster mp|socket)", file=sys.stderr)
+        print("--deadline applies to the real-process backend "
+              "(--cluster socket)", file=sys.stderr)
         return 2
     if args.inject_faults is not None:
         if args.strategy in ("serial", "profile"):
@@ -461,10 +458,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     else:
         out = record.outcome or {}
-        # The real backends' runtime is wall-clock, not model-seconds.
+        # Off the simulated cluster, runtime is wall-clock, not model-seconds.
         label = (
             "wall-time"
-            if (out.get("extras") or {}).get("cluster") in ("mp", "socket")
+            if (out.get("extras") or {}).get("cluster", "sim") != "sim"
             else "model-time"
         )
         print(f"{record.cell_id}: µ(s)={out.get('best_mu', 0.0):.4f}  "
@@ -488,7 +485,7 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
 
     A convenience front end over the same cells ``repro sweep`` resolves
     — no pool, no cache, artifacts only with ``--out``.  ``--cluster
-    mp|socket`` forces the whole scenario onto a real-process backend.
+    socket`` forces the whole scenario onto the real-process backend.
     """
     try:
         scenario = get_scenario(args.scenario)
@@ -528,28 +525,6 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
         print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)
         return 1
     return 0
-
-
-def _sweep_records(
-    cells: Sequence[Any],
-    workers: int | None,
-    processes: bool,
-    backend: str | None = None,
-    chunk_size: int | None = None,
-    cache: CellCache | None = None,
-    max_retries: int = 0,
-) -> list[RunRecord]:
-    use_processes = processes or workers is not None
-    return run_sweep(
-        cells,
-        workers=workers,
-        processes=use_processes,
-        progress=_progress,
-        backend=backend,
-        chunk_size=chunk_size,
-        cache=cache,
-        max_retries=max_retries,
-    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -703,10 +678,10 @@ def _execute_sweep(
     shard_note = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
     print(f"{banner}: {len(cells)} cells"
           + (" (smoke)" if args.smoke else "") + shard_note)
-    records = _sweep_records(
+    records = run_sweep(
         cells,
-        args.workers,
-        args.processes,
+        workers=args.workers,
+        progress=_progress,
         backend=getattr(args, "backend", None),
         chunk_size=getattr(args, "chunk_size", None),
         cache=cache,

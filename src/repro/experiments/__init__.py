@@ -39,7 +39,6 @@ from repro.experiments.registry import (
 from repro.experiments.sweeps import (
     BACKENDS,
     ChunkedBackend,
-    ProcessPoolBackend,
     SerialBackend,
     SweepBackend,
     make_backend,
@@ -69,7 +68,6 @@ __all__ = [
     "scaled_iterations",
     "BACKENDS",
     "ChunkedBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
     "SweepBackend",
     "make_backend",

@@ -4,14 +4,13 @@ Takes the :class:`~repro.experiments.registry.SweepCell` lists the registry
 resolves and runs them through a :class:`SweepBackend`:
 
 * :class:`SerialBackend` — in-process, one cell at a time;
-* :class:`ProcessPoolBackend` — one cell per :class:`ProcessPoolExecutor`
-  task (maximum parallelism, per-task pickling/setup overhead);
 * :class:`ChunkedBackend` — cells batched into contiguous chunks, one
-  chunk per pool task.  Cells of one scenario arrive grouped by circuit
-  (the registry's resolution order), so a chunk's cells share the worker
-  process's single-flight circuit/grid/initial-placement caches — the
-  per-process setup that dominates small cells is paid once per chunk
-  instead of once per cell.
+  chunk per :class:`ProcessPoolExecutor` task (``chunk_size=1`` gives
+  maximum fan-out, one cell per task).  Cells of one scenario arrive
+  grouped by circuit (the registry's resolution order), so a chunk's
+  cells share the worker process's single-flight
+  circuit/grid/initial-placement caches — the per-process setup that
+  dominates small cells is paid once per chunk instead of once per cell.
 
 Each cell is a pure function of its spec and parameters (all randomness
 flows from ``spec.seed`` through :mod:`repro.utils.rng` streams), so every
@@ -62,7 +61,6 @@ __all__ = [
     "ProgressFn",
     "SweepBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "ChunkedBackend",
     "BACKENDS",
     "make_backend",
@@ -295,59 +293,6 @@ class SerialBackend:
         return records
 
 
-class ProcessPoolBackend:
-    """One pool task per cell: maximal fan-out, per-cell setup cost."""
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        max_retries: int = 0,
-    ):
-        self.workers = workers
-        self.max_retries = max_retries
-
-    def run(
-        self, cells: Sequence[SweepCell], progress: ProgressFn | None = None
-    ) -> list[RunRecord]:
-        total = len(cells)
-        if not total:
-            return []
-        slots: list[RunRecord | None] = [None] * total
-        done = 0
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            last_event = time.perf_counter()
-            futures = {
-                pool.submit(run_cell, c, self.max_retries): i
-                for i, c in enumerate(cells)
-            }
-            # Report completions as they happen (a slow head cell must not
-            # make the whole sweep look hung) while keeping result order.
-            for future in as_completed(futures):
-                i = futures[future]
-                now = time.perf_counter()
-                try:
-                    record = future.result()
-                except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                    # Charge the wall time observed since the previous
-                    # pool event — the best available bound on how long
-                    # this failure occupied the sweep.  0.0 would
-                    # undercount it; time-since-pool-start would charge a
-                    # late failure the whole sweep so far.
-                    record = _failure_record(
-                        cells[i], f"{type(exc).__name__}: {exc}",
-                        now - last_event,
-                    )
-                last_event = now
-                slots[i] = record
-                done += 1
-                if progress:
-                    progress(done, total, record)
-        return [r for r in slots if r is not None]
-
-
 class ChunkedBackend:
     """Contiguous chunks of cells per pool task (amortized worker setup)."""
 
@@ -398,10 +343,13 @@ class ChunkedBackend:
                 try:
                     records = future.result()
                 except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                    # Same accounting as ProcessPoolBackend: the chunk is
-                    # charged the observed time since the last pool event,
-                    # split evenly over its cells (not duplicated onto
-                    # each — summed wall time must stay meaningful).
+                    # Charge the wall time observed since the previous
+                    # pool event — the best available bound on how long
+                    # this failure occupied the sweep (0.0 would
+                    # undercount it; time-since-pool-start would charge a
+                    # late failure the whole sweep so far) — split evenly
+                    # over the chunk's cells (not duplicated onto each —
+                    # summed wall time must stay meaningful).
                     elapsed = (now - last_event) / max(1, len(chunks[k]))
                     records = [
                         _failure_record(c, f"{type(exc).__name__}: {exc}", elapsed)
@@ -418,7 +366,6 @@ class ChunkedBackend:
 
 BACKENDS: dict[str, type] = {
     "serial": SerialBackend,
-    "process": ProcessPoolBackend,
     "chunked": ChunkedBackend,
 }
 
@@ -429,7 +376,7 @@ def make_backend(
     chunk_size: int | None = None,
     max_retries: int = 0,
 ) -> SweepBackend:
-    """Instantiate a named backend (``serial`` / ``process`` / ``chunked``)."""
+    """Instantiate a named backend (``serial`` / ``chunked``)."""
     try:
         cls = BACKENDS[name]
     except KeyError:
@@ -478,7 +425,6 @@ def shard_cells(
 def run_sweep(
     cells: Sequence[SweepCell],
     workers: int | None = None,
-    processes: bool = False,
     progress: ProgressFn | None = None,
     backend: str | SweepBackend | None = None,
     chunk_size: int | None = None,
@@ -488,8 +434,8 @@ def run_sweep(
     """Run every cell; return records in the input order.
 
     ``backend`` selects the execution engine by name or instance; when
-    unset, ``processes=True`` (or a ``workers`` count) picks the process
-    pool and plain calls stay serial — the pre-backend API unchanged.
+    unset, a ``workers`` count picks the chunked process pool and plain
+    calls stay serial.
     Every field except the host-dependent ``wall_seconds`` is identical
     across backends (compare via :meth:`RunRecord.canonical`).
 
@@ -502,7 +448,7 @@ def run_sweep(
     instance carries its own retry budget.
     """
     if backend is None:
-        backend = "process" if (processes or workers is not None) else "serial"
+        backend = "chunked" if workers is not None else "serial"
     if isinstance(backend, str):
         backend = make_backend(
             backend, workers=workers, chunk_size=chunk_size,

@@ -2,8 +2,10 @@
 
 * :mod:`repro.parallel.mpi` — the MPI-like communication layer: an abstract
   :class:`~repro.parallel.mpi.comm.Communicator`, the deterministic
-  discrete-event :class:`~repro.parallel.mpi.simcluster.SimCluster`, a real
-  :mod:`multiprocessing` backend, and the calibrated network/work models;
+  discrete-event :class:`~repro.parallel.mpi.simcluster.SimCluster`, the
+  real-process socket router
+  :class:`~repro.parallel.mpi.socket_backend.SocketCluster`, and the
+  calibrated network/work models;
 * :mod:`repro.parallel.partition` — the row-allocation patterns of the
   paper's Type II study (fixed alternating [5] and random [7]);
 * :mod:`repro.parallel.type1` / :mod:`type2` / :mod:`type3` — the three

@@ -9,11 +9,10 @@ interchangeable backends:
   discrete-event simulation with per-rank virtual clocks driven by the
   calibrated work model and a fast-ethernet-class network model (the
   backend all reproduction benches use);
-* :class:`~repro.parallel.mpi.mp_backend.MpCluster` — real OS processes
-  over a full pipe mesh for genuine wall-clock parallelism (p ≤ 16);
 * :class:`~repro.parallel.mpi.socket_backend.SocketCluster` — real OS
-  processes over a hub-and-spoke socket router: O(p) descriptors, p in
-  the hundreds on one host, optional TCP addresses for multi-host;
+  processes over a hub-and-spoke socket router for genuine wall-clock
+  parallelism: O(p) descriptors, p in the hundreds on one host, optional
+  TCP addresses for multi-host;
 * :class:`~repro.parallel.mpi.loopback.LoopbackComm` — a size-1
   communicator so serial runs share the parallel code path.
 """
@@ -22,7 +21,6 @@ from repro.parallel.mpi.comm import Communicator, ANY_SOURCE, CommError, Deadloc
 from repro.parallel.mpi.message import Message
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.mpi.simcluster import SimCluster
-from repro.parallel.mpi.mp_backend import MpCluster
 from repro.parallel.mpi.socket_backend import SocketCluster
 from repro.parallel.mpi.loopback import LoopbackComm
 from repro.parallel.mpi.backend import CLUSTERS, ClusterBackend, make_cluster
@@ -39,7 +37,6 @@ __all__ = [
     "Message",
     "NetworkModel",
     "SimCluster",
-    "MpCluster",
     "SocketCluster",
     "LoopbackComm",
     "CLUSTERS",

@@ -1,18 +1,16 @@
-"""Per-rank heartbeat/staleness liveness shared by the process backends.
+"""Per-rank heartbeat/staleness liveness for the real-process backend.
 
 EOF tells a parent that a rank *died*; nothing tells it that a rank is
 alive but *wedged* — SIGSTOPped, or spinning inside native code with its
-pipes still open.  Both real backends therefore run the same scheme: each
-rank emits a cheap heartbeat from a daemon thread, and the parent tracks
-per-rank last-seen times through one :class:`LivenessMonitor`, declaring
-a rank wedged once its silence exceeds ``heartbeat_timeout``.
+connection still open.  Each rank therefore emits a cheap heartbeat from
+a daemon thread, and the parent tracks per-rank last-seen times through
+one :class:`LivenessMonitor`, declaring a rank wedged once its silence
+exceeds ``heartbeat_timeout``.
 
 The socket router beats the monitor on *every* frame (data counts as
-proof of life, heartbeats only cover idle ranks); the mp parent beats it
-on heartbeat sentinels arriving over the result pipe.  Keeping the
-policy — window bookkeeping, staleness predicate, error wording — in one
-class is what keeps the two backends' "went silent" behavior identical,
-as the conformance tests expect.
+proof of life, heartbeats only cover idle ranks).  The policy — window
+bookkeeping, staleness predicate, error wording — lives here, apart from
+the router's event loop.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class LivenessMonitor:
         )
 
     def silence_error(self, ranks: list[int]) -> CommError:
-        """The uniform wedge report both backends raise."""
+        """The uniform wedge report the router raises."""
         return CommError(
             f"rank(s) {ranks} went silent: no heartbeat for "
             f"{self.timeout:.1f}s (wedged or stopped)"

@@ -1,21 +1,31 @@
-"""Socket router backend: O(p) file descriptors, p in the hundreds.
+"""Socket router backend: real OS processes, O(p) file descriptors.
 
-``MpCluster``'s full pipe mesh costs O(p²) descriptors and is hard-capped
-at 16 ranks; the paper's own story — cluster-scale speedup of the
-simulated-evolution placer — starts beyond that.  This backend replaces
-the mesh with a **hub-and-spoke router**: the parent owns one listening
+The simulated cluster answers the paper's *model* questions; this backend
+runs the same SPMD strategy code on genuine OS processes — the execution
+path behind ``--cluster socket`` and the wall-clock half of the
+``speedup`` scenario.  Differences from :class:`SimCluster`:
+
+* ``elapsed()`` is wall-clock (``time.perf_counter`` since rank start);
+* there are no virtual clocks: the work meter still counts units (priced
+  by ``work_model`` into model-seconds for the calibration fit) but does
+  not drive time;
+* ANY_SOURCE receives consume frames in real arrival order — *not*
+  deterministic.  Results that depend on message arrival order (Type III)
+  vary run to run, exactly as they did on the paper's real cluster, while
+  rank-addressed strategies (Type I/II) are bit-identical at any p.
+
+Topology is a **hub-and-spoke router**: the parent owns one listening
 socket, every rank holds exactly one connection to it, and all
 point-to-point traffic is forwarded through the hub as length-prefixed
 frames (:mod:`repro.parallel.mpi.message`).  Total descriptor budget is
 ``p + 1`` at the router and one per rank — p = 64 on one host is routine
 and p in the hundreds fits inside default fd limits.
 
-Protocol semantics are *identical* to the mp backend: both communicators
-derive from :class:`~repro.parallel.mpi.commbase.BufferedComm`, so tag
-matching, ANY_SOURCE behavior over dead peers, out-of-order stashing, and
-root-sequenced collectives are shared code, and the conformance suite
-(``tests/parallel/test_backend_conformance.py``) pins all three backends
-to one contract.
+Protocol semantics (tag matching, ANY_SOURCE behavior over dead peers,
+out-of-order stashing, root-sequenced collectives) live in
+:class:`~repro.parallel.mpi.commbase.BufferedComm`, and the conformance
+suite (``tests/parallel/test_backend_conformance.py``) pins this backend
+and the simulated cluster to one contract.
 
 Topology & framing
 ------------------
@@ -28,29 +38,28 @@ the router forwards DATA frames to ``dest`` without unpickling them.
 
 Liveness: PEERDOWN, heartbeats, deadline
 ----------------------------------------
-Pipes gave the mp backend EOF-based death detection for free; a routed
-star must *tell* ranks about departures:
+A rank that dies or wedges must never hang the parent or its peers, and
+a routed star must *tell* ranks about departures:
 
 * when a rank ships its RESULT (clean finish) the router broadcasts a
   PEERDOWN frame for it — peers drop it from ANY_SOURCE wait sets and a
-  targeted receive from it raises :class:`CommError`, exactly like an EOF
-  on a pipe.  Because each rank's frames arrive on one ordered stream,
-  everything it sent is forwarded *before* its PEERDOWN — no message loss
-  on a clean exit;
+  targeted receive from it raises :class:`CommError`.  Because each
+  rank's frames arrive on one ordered stream, everything it sent is
+  forwarded *before* its PEERDOWN — no message loss on a clean exit;
 * an EOF on a rank's connection before its RESULT (SIGKILL, OOM,
   ``os._exit``) makes the router terminate the survivors and raise
-  ``CommError("rank(s) died without result: ...")`` — the same contract
-  as the mp parent;
+  ``CommError("rank(s) died without result: ...")``;
 * every rank runs a daemon heartbeat thread; a rank that is alive but
   wedged (SIGSTOP, native-code hang) stops heartbeating, and the router
   raises :class:`CommError` once its silence exceeds
-  ``heartbeat_timeout`` — pipes cannot detect this case at all;
+  ``heartbeat_timeout``;
 * the whole run sits under a configurable ``timeout`` deadline (CLI:
   ``--deadline``), so no failure mode can stall a caller forever.
 
-As with the mp backend, ``elapsed()`` is wall-clock and ANY_SOURCE order
-reflects real arrival order — Type III results vary run to run, while
-rank-addressed strategies (Type I/II) are bit-identical at any p.
+Start method: ``fork`` where it is safe and available (Linux), ``spawn``
+otherwise (Windows has no fork; macOS forks unsafely by default).  The
+SPMD function and its arguments must be picklable either way
+(module-level functions; specs are plain dataclasses).
 """
 
 from __future__ import annotations
@@ -60,9 +69,11 @@ import os
 import pickle
 import selectors
 import socket
+import sys
 import tempfile
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cost.workmeter import WorkMeter, WorkModel
@@ -84,17 +95,25 @@ from repro.parallel.mpi.liveness import (
     LivenessMonitor,
     default_heartbeat_timeout,
 )
-from repro.parallel.mpi.mp_backend import (
-    DEFAULT_TIMEOUT,
-    RANK_FAILURE_POLICIES,
-    MpRunResult,
-    pick_start_method,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ← comm)
     from repro.parallel.faults import FaultPlan
 
-__all__ = ["SocketCluster", "MAX_SOCKET_RANKS"]
+__all__ = [
+    "SocketCluster",
+    "WallRunResult",
+    "MAX_SOCKET_RANKS",
+    "DEFAULT_TIMEOUT",
+    "RANK_FAILURE_POLICIES",
+    "pick_start_method",
+]
+
+#: Accepted ``on_rank_failure`` policies.
+RANK_FAILURE_POLICIES = ("abort", "degrade")
+
+#: Default run deadline (seconds): generous for real workloads, finite so
+#: a hung backend can never stall a caller (CI enforces a tighter one).
+DEFAULT_TIMEOUT = 600.0
 
 #: Largest supported rank count.  The router holds one connection per
 #: rank plus the listener — ``p + 1`` descriptors — so the real bound is
@@ -114,6 +133,43 @@ _REAP_JOIN_SECONDS = 1.0
 #: SIGTERM grace before escalating to SIGKILL during cleanup; short
 #: because a SIGSTOPped rank leaves SIGTERM pending forever.
 _TERM_GRACE_SECONDS = 5.0
+
+
+def pick_start_method() -> str:
+    """``fork`` where safe and available, else ``spawn``.
+
+    macOS can fork but CoreFoundation makes it unsafe-by-default (Python
+    3.8+ defaults the platform to spawn for the same reason); Windows has
+    no fork at all.
+    """
+    if sys.platform != "darwin" and "fork" in mp.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
+@dataclass
+class WallRunResult:
+    """Outcome of one real-process SPMD run.
+
+    ``wall_seconds`` is the parent-observed span (includes process spawn);
+    ``clocks`` are the per-rank in-child elapsed times; ``meters`` carry
+    each rank's work-unit counts back to the parent (model-seconds for
+    the wall-clock calibration fit).  ``lost`` maps ranks abandoned by an
+    ``on_rank_failure="degrade"`` run to a human-readable reason; their
+    ``results``/``clocks``/``meters`` slots hold ``None``/``0.0``/empty
+    meters.  Under the default abort policy it is always empty.
+    """
+
+    results: list[Any]
+    wall_seconds: float
+    clocks: list[float] = field(default_factory=list)
+    meters: list[WorkMeter] = field(default_factory=list)
+    lost: dict[int, str] = field(default_factory=dict)
+
+    @property
+    def makespan(self) -> float:
+        """Wall-clock of the whole run (the analogue of the sim makespan)."""
+        return self.wall_seconds
 
 
 class _SocketComm(BufferedComm):
@@ -393,7 +449,7 @@ class SocketCluster:
         ``"abort"`` (default): any mid-run rank loss terminates the
         survivors and raises :class:`CommError` — bit-identical to the
         pre-fault-tolerance behavior.  ``"degrade"``: the loss is
-        broadcast as PEERDOWN, recorded on ``MpRunResult.lost``, and the
+        broadcast as PEERDOWN, recorded on ``WallRunResult.lost``, and the
         run continues with the survivors.
     trace_dir:
         Optional directory for per-rank comm-event traces
@@ -451,7 +507,7 @@ class SocketCluster:
         args: Sequence[Any] = (),
         kwargs: dict[str, Any] | None = None,
         per_rank_kwargs: Sequence[dict[str, Any]] | None = None,
-    ) -> MpRunResult:
+    ) -> WallRunResult:
         """Execute ``fn(comm, *args, **kwargs, **per_rank_kwargs[rank])``.
 
         Raises :class:`CommError` if any rank fails — with its repr'd
@@ -548,7 +604,7 @@ class SocketCluster:
             if st is not None:
                 meter.units.update(st[3])
             meters.append(meter)
-        return MpRunResult(
+        return WallRunResult(
             results=[None if st is None else st[1] for st in statuses],
             wall_seconds=wall,
             clocks=[0.0 if st is None else float(st[2]) for st in statuses],
@@ -770,7 +826,7 @@ class SocketCluster:
                     monitor.forget(rank)
                     # A rank's stream is ordered: everything it sent was
                     # forwarded before this point, so peers see its data
-                    # before learning it is gone (pipe-EOF parity).
+                    # before learning it is gone.
                     for peer in range(self.size):
                         if peer != rank:
                             tell_peerdown(rank, peer)

@@ -217,7 +217,7 @@ def run_type3(
     ``p`` counts the central store: Table 4's "p = 3" is one store plus
     two searching slaves.  Serial and parallel runs use the same iteration
     budget per processor (paper: "Both the serial and parallel algorithms
-    were run for 2500 iterations at each processor").  ``cluster="mp"``
+    were run for 2500 iterations at each processor").  ``cluster="socket"``
     runs on real processes — message arrival order (and hence the
     cooperative search result) then varies run to run, exactly as it did
     on the paper's cluster; ``"sim"`` stays deterministic.

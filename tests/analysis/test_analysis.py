@@ -153,15 +153,15 @@ def test_render_speedup_records_keeps_clock_domains_apart():
 
     records = [
         _rec("serial", "sim", 100.0, 0.60),
-        _rec("serial", "mp", 10.0, 0.60),
+        _rec("serial", "socket", 10.0, 0.60),
         _rec("type2", "sim", 50.0, 0.58, p=4),
-        _rec("type2", "mp", 4.0, 0.59, p=4),
+        _rec("type2", "socket", 4.0, 0.59, p=4),
     ]
     out = render_speedup_records(records)
     lines = out.splitlines()
-    assert "sim t" in lines[1] and "mp t" in lines[1]
+    assert "sim t" in lines[1] and "socket t" in lines[1]
     t2_line = next(l for l in lines if "type2" in l)
-    # sim speedup = 100/50, mp speedup = 10/4 — never 100/4 or 10/50.
+    # sim speedup = 100/50, socket speedup = 10/4 — never 100/4 or 10/50.
     assert "2.00" in t2_line and "2.50" in t2_line
     assert "25.0" not in t2_line and "0.20" not in t2_line
 
@@ -176,4 +176,4 @@ def test_render_speedup_records_tolerates_missing_backend():
     out = render_speedup_records(records)
     t1_line = next(l for l in out.splitlines() if "type1" in l)
     assert "0.83" in t1_line  # sim slowdown still reported
-    assert "-" in t1_line     # mp columns absent, not crashing
+    assert "-" in t1_line     # socket columns absent, not crashing

@@ -19,7 +19,6 @@ from repro.experiments.artifacts import CellCache, cell_key, version_key
 from repro.experiments.registry import SweepCell, base_spec, resolve
 from repro.experiments.sweeps import (
     ChunkedBackend,
-    ProcessPoolBackend,
     SerialBackend,
     make_backend,
     parse_shard,
@@ -50,7 +49,7 @@ def _cells(n_extra_seeds: int = 0) -> list[SweepCell]:
 def test_all_backends_agree_canonically():
     cells = _cells(1)
     serial = SerialBackend().run(cells)
-    pooled = ProcessPoolBackend(workers=2).run(cells)
+    pooled = ChunkedBackend(workers=2, chunk_size=1).run(cells)
     chunked = ChunkedBackend(workers=2, chunk_size=3).run(cells)
     want = [r.canonical() for r in serial]
     assert [r.canonical() for r in pooled] == want
@@ -59,18 +58,21 @@ def test_all_backends_agree_canonically():
 
 def test_make_backend_names_and_unknown():
     assert make_backend("serial").name == "serial"
-    assert make_backend("process", workers=2).name == "process"
     assert make_backend("chunked", chunk_size=4).name == "chunked"
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("gpu")
+    for name in ("gpu", "process"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend(name)
 
 
 def test_run_sweep_backend_selection_compatible():
     cells = _cells()
-    # The pre-backend API: processes=False is serial, backend overrides.
+    # No backend and no workers is serial; a workers count alone picks
+    # the chunked pool; an explicit backend overrides both.
     a = run_sweep(cells)
     b = run_sweep(cells, backend="chunked", workers=2, chunk_size=2)
+    c = run_sweep(cells, workers=2)
     assert [r.canonical() for r in a] == [r.canonical() for r in b]
+    assert [r.canonical() for r in c] == [r.canonical() for r in a]
 
 
 def test_chunked_backend_chunk_size_validation():
@@ -101,11 +103,9 @@ def test_pool_failure_records_carry_observed_wall_time():
         base_spec("s1196", iterations=2),
         (("hook", lambda: None),),
     )
-    for backend in (ProcessPoolBackend(workers=1),
-                    ChunkedBackend(workers=1, chunk_size=1)):
-        [record] = backend.run([bad])
-        assert not record.ok
-        assert record.wall_seconds > 0.0  # was recorded as 0.0 before
+    [record] = ChunkedBackend(workers=1, chunk_size=1).run([bad])
+    assert not record.ok
+    assert record.wall_seconds > 0.0  # was recorded as 0.0 before
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def test_run_cell_produces_full_record():
 
 def test_sweep_serial_and_pool_agree():
     cells = _tiny_cells()
-    serial = run_sweep(cells, processes=False)
-    pooled = run_sweep(cells, workers=2, processes=True)
+    serial = run_sweep(cells)
+    pooled = run_sweep(cells, workers=2)
     assert [r.canonical() for r in serial] == [r.canonical() for r in pooled]
 
 
@@ -68,15 +68,14 @@ def test_canonical_strips_wall_timing_on_real_backends_only():
     # host timing; canonical() must key on the solution, the meter
     # charges and the µ trajectory alone.  On sim the same fields are
     # deterministic model-seconds and stay part of the key.
-    for cluster in ("mp", "socket"):
-        c = _record_with_cluster(cluster).canonical()
-        out = c["outcome"]
-        assert "wall_seconds" not in c
-        assert "runtime" not in out
-        assert "wall_seconds" not in out["extras"]
-        assert "rank_clocks" not in out["extras"]
-        assert out["history"] == [[0, 0.4], [1, 0.5]]  # µ kept, clock dropped
-        assert out["extras"]["model_seconds"] == 3.0
+    c = _record_with_cluster("socket").canonical()
+    out = c["outcome"]
+    assert "wall_seconds" not in c
+    assert "runtime" not in out
+    assert "wall_seconds" not in out["extras"]
+    assert "rank_clocks" not in out["extras"]
+    assert out["history"] == [[0, 0.4], [1, 0.5]]  # µ kept, clock dropped
+    assert out["extras"]["model_seconds"] == 3.0
 
     sim = _record_with_cluster("sim").canonical()
     assert "wall_seconds" not in sim

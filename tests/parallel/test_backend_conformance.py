@@ -1,13 +1,14 @@
-"""One communicator contract, three executions.
+"""One communicator contract, two executions.
 
-Parametrized conformance suite pinning sim (threads + virtual clock),
-mp (process mesh over pipes) and socket (hub-and-spoke router) to the
-same observable semantics: tag matching, out-of-order stashing,
-ANY_SOURCE behavior over finished peers, dead-peer receives raising
-:class:`CommError`, root-sequenced collectives, self-sends, and per-rank
+Parametrized conformance suite pinning sim (threads + virtual clock) and
+socket (real processes over a hub-and-spoke router) to the same
+observable semantics: tag matching, out-of-order stashing, ANY_SOURCE
+behavior over finished peers, dead-peer receives raising
+:class:`CommError`, root-sequenced collectives and their interleaving
+with point-to-point traffic, self-sends, rank failures, and per-rank
 meter/clock shipping.  Anything a strategy can observe through a
 ``Communicator`` must be indistinguishable across backends (up to the
-clock domain: model-seconds on sim, wall-seconds on mp/socket).
+clock domain: model-seconds on sim, wall-seconds on socket).
 
 Workers are module-level so the process backends can pickle them under
 any start method.
@@ -20,7 +21,7 @@ import pytest
 from repro.parallel.mpi.backend import CLUSTERS, make_cluster
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
 
-BACKENDS = ("sim", "mp", "socket")
+BACKENDS = ("sim", "socket")
 
 
 def test_suite_covers_every_registered_backend():
@@ -86,6 +87,31 @@ def test_self_send_is_local_and_ordered(backend):
         assert got == (rank, ("loopback", rank))
 
 
+def _w_self_send_any_source(comm):
+    comm.send(("hello", comm.rank), comm.rank, tag=4)
+    comm.send("other-tag", comm.rank, tag=8)
+    tag8 = comm.recv(ANY_SOURCE, tag=8)
+    tag4 = comm.recv(comm.rank, tag=4)
+    return (tag4, tag8)
+
+
+def test_self_send_matches_any_source_by_tag(backend):
+    res = make_cluster(backend, 2).run(_w_self_send_any_source)
+    for rank, got in enumerate(res.results):
+        assert got == ((rank, ("hello", rank)), (rank, "other-tag"))
+
+
+def _w_ring(comm):
+    """Every rank sends before it receives: sends must be eager."""
+    comm.send(comm.rank, (comm.rank + 1) % comm.size, tag=9)
+    return comm.recv((comm.rank - 1) % comm.size, tag=9)
+
+
+def test_ring_exchange_does_not_rendezvous(backend):
+    res = make_cluster(backend, 3).run(_w_ring)
+    assert res.results == [(2, 2), (0, 0), (1, 1)]
+
+
 # ------------------------------------------------------------- ANY_SOURCE
 
 
@@ -101,6 +127,26 @@ def _w_any_source_collects_all(comm):
 def test_any_source_collects_every_peer(backend):
     res = make_cluster(backend, 4).run(_w_any_source_collects_all)
     assert res.results[0] == [(1, 10), (2, 20), (3, 30)]
+
+
+def _w_any_source_filters_by_tag(comm):
+    if comm.rank != 0:
+        # The decoy goes first: a wildcard recv on tag 2 must skip it.
+        comm.send(f"decoy-{comm.rank}", 0, tag=1)
+        comm.send(f"want-{comm.rank}", 0, tag=2)
+        return None
+    wanted = sorted(
+        comm.recv(ANY_SOURCE, tag=2)[1] for _ in range(comm.size - 1)
+    )
+    decoys = sorted(
+        comm.recv(ANY_SOURCE, tag=1)[1] for _ in range(comm.size - 1)
+    )
+    return wanted, decoys
+
+
+def test_any_source_recv_filters_by_tag(backend):
+    res = make_cluster(backend, 3).run(_w_any_source_filters_by_tag)
+    assert res.results[0] == (["want-1", "want-2"], ["decoy-1", "decoy-2"])
 
 
 def _w_any_source_over_finished_peer(comm):
@@ -130,9 +176,9 @@ def _w_recv_from_finished_peer(comm):
 def test_targeted_recv_from_finished_peer_raises(backend):
     """Blocking on a peer that exited cleanly is an error everywhere.
 
-    sim raises :class:`DeadlockError` (a :class:`CommError`); mp sees the
-    EOF on the pipe; socket sees the router's PEERDOWN broadcast.  All
-    surface as ``CommError`` from ``run()``.
+    sim raises :class:`DeadlockError` (a :class:`CommError`); socket sees
+    the router's PEERDOWN broadcast.  Both surface as ``CommError`` from
+    ``run()``.
     """
     with pytest.raises(CommError):
         make_cluster(backend, 2).run(_w_recv_from_finished_peer)
@@ -147,6 +193,20 @@ def _w_all_peers_finished(comm):
 def test_any_source_with_no_live_peers_raises(backend):
     with pytest.raises(CommError):
         make_cluster(backend, 3).run(_w_all_peers_finished)
+
+
+def _w_failing(comm):
+    if comm.rank == 1:
+        raise RuntimeError("rank down")
+    return comm.rank
+
+
+def test_rank_exception_fails_the_run_with_its_message(backend):
+    """sim re-raises the rank's own exception; socket ships its repr back
+    as a :class:`CommError`.  Either way the message reaches the caller."""
+    expected = RuntimeError if backend == "sim" else CommError
+    with pytest.raises(expected, match="rank down"):
+        make_cluster(backend, 2).run(_w_failing)
 
 
 # ------------------------------------------------------------ collectives
@@ -186,6 +246,33 @@ def test_collectives_honor_nonzero_roots(backend):
     assert res.results[0] is None and res.results[2] is None
 
 
+def test_collectives_on_a_single_rank(backend):
+    res = make_cluster(backend, 1).run(_w_collectives)
+    assert res.results == [("token", 0, [0])]
+
+
+def _w_coll_p2p_interleave(comm):
+    # Every non-root ships a p2p message to the root *before* the
+    # collectives: the root must stash the p2p traffic it meets while
+    # waiting for collective traffic, and a later recv must find it.
+    if comm.rank != 0:
+        comm.send(f"p2p-{comm.rank}", 0, tag=3)
+    token = comm.bcast("token" if comm.rank == 0 else None, root=0)
+    gathered = comm.gather(comm.rank * 10, root=0)
+    if comm.rank == 0:
+        p2p = sorted(
+            comm.recv(ANY_SOURCE, tag=3)[1] for _ in range(comm.size - 1)
+        )
+        return token, gathered, p2p
+    return token
+
+
+def test_collective_and_p2p_traffic_interleave(backend):
+    res = make_cluster(backend, 3).run(_w_coll_p2p_interleave)
+    assert res.results[0] == ("token", [0, 10, 20], ["p2p-1", "p2p-2"])
+    assert res.results[1:] == ["token", "token"]
+
+
 # ------------------------------------------------- meters, clocks, shapes
 
 
@@ -202,7 +289,7 @@ def test_meters_and_clocks_ship_per_rank(backend):
     res = cl.run(_w_charge_per_rank)
     assert res.results == list(range(p))
     assert len(res.clocks) == p and len(res.meters) == p
-    # makespan is max(clock) on sim but parent wall-clock on mp/socket
+    # makespan is max(clock) on sim but parent wall-clock on socket
     # (it includes spawn/teardown), so pin only the ordering invariant.
     assert res.makespan >= max(res.clocks) >= 0.0
     for rank, meter in enumerate(res.meters):
@@ -221,6 +308,10 @@ def test_per_rank_kwargs_reach_each_rank(backend):
         per_rank_kwargs=[{"bonus": 10 * r} for r in range(3)],
     )
     assert res.results == [100, 111, 122]
+    with pytest.raises(ValueError, match="one entry per rank"):
+        make_cluster(backend, 2).run(
+            _w_per_rank_kwargs, args=(1,), per_rank_kwargs=[{}]
+        )
 
 
 # ------------------------------------------- traced ANY_SOURCE fairness
