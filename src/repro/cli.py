@@ -46,23 +46,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.reporting import render_records, render_table
 from repro.experiments.artifacts import ArtifactStore, CellCache, RunRecord, failed
 from repro.experiments.registry import (
-    CLUSTERS,
+    KNOBS,
+    SweepCell,
+    apply_knobs,
     base_spec,
     custom_sweep,
     get_scenario,
+    knob_tag,
     list_scenarios,
-    override_cluster,
-    override_deadline,
-    override_eval_mode,
-    override_faults,
-    override_on_rank_failure,
     resolve,
+    sorted_cell_id,
 )
 from repro.sime.config import EVAL_MODES
 from repro.experiments.sweeps import (
@@ -87,6 +87,30 @@ def _csv_list(text: str) -> list[str]:
 
 def _csv_ints(text: str) -> list[int]:
     return [int(t) for t in _csv_list(text)]
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``run``, ``sweep`` and ``tables`` share: the retry budget
+    and one flag per run-wide knob (registry ``KNOBS``), unset by default."""
+    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
+                        help="per-cell retry budget for transient failures "
+                             "(rank death, wedge, dropped connection), with "
+                             "deterministic jittered backoff; deterministic "
+                             "failures fail fast")
+    group = parser.add_argument_group(
+        "run-wide knobs",
+        "forced onto every cell that takes them; `run --circuit` rejects "
+        "a knob its cell cannot take, the other paths pass such cells "
+        "through")
+    for knob in KNOBS:
+        group.add_argument(knob.flag, dest=knob.name, type=knob.type,
+                           choices=knob.choices, metavar=knob.metavar,
+                           help=knob.help)
+
+
+def _forced_knobs(args: argparse.Namespace) -> dict[str, Any]:
+    return {k.name: getattr(args, k.name) for k in KNOBS
+            if getattr(args, k.name, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,38 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Type II row-allocation pattern")
     p_run.add_argument("--retry-threshold", type=int, default=None,
                        help="Type III retry threshold (default ~4%% of budget)")
-    p_run.add_argument("--cluster", default="sim", choices=list(CLUSTERS),
-                       help="execution backend: deterministic simulated "
-                            "cluster (model-seconds) or real OS processes "
-                            "over the socket router (socket, p up to 256, "
-                            "wall-clock)")
-    p_run.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="run deadline for the real-process backend "
-                            "(default 600s); ignored with --cluster sim")
-    p_run.add_argument("--inject-faults", default=None, metavar="SPEC",
-                       help="arm a deterministic fault plan on the run, "
-                            "e.g. 'kill:at=6' or 'wedge:rank=2:at=5' "
-                            "(parallel strategies only)")
-    p_run.add_argument("--on-rank-failure", default="abort",
-                       choices=["abort", "degrade"],
-                       help="type3/type3x response to losing a rank mid-run: "
-                            "fail fast (default) or continue on the "
-                            "survivors at reduced p")
-    p_run.add_argument("--max-retries", type=int, default=0, metavar="N",
-                       help="re-run the cell up to N times after transient "
-                            "failures (rank death, wedge, dropped "
-                            "connection) with backoff; deterministic "
-                            "failures never retry")
-    p_run.add_argument("--eval-mode", default="scalar",
-                       choices=list(EVAL_MODES),
-                       help="allocation evaluation path: scalar (bit-exact "
-                            "default), batch (vectorized SoA kernel, ulp-"
-                            "budget equivalent), or check (scalar decisions "
-                            "+ batch re-scoring equivalence gate)")
     p_run.add_argument("--out", default=None,
                        help="artifact directory (also writes JSON/CSV)")
     p_run.add_argument("--json", action="store_true",
                        help="print the full outcome record as JSON")
+    _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a scenario or custom grid")
@@ -174,32 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="divide paper iteration budgets by this")
     p_sweep.add_argument("--smoke", action="store_true",
                          help="tiny budgets/circuits (CI); default scenario: smoke")
-    p_sweep.add_argument("--cluster", default=None, choices=list(CLUSTERS),
-                         help="force every cell onto one cluster backend "
-                              "(sim: deterministic model-seconds; socket: "
-                              "real processes, wall-clock)")
-    p_sweep.add_argument("--deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="run deadline for cells on the real-process "
-                              "backend (default 600s); sim cells are "
-                              "unaffected")
-    p_sweep.add_argument("--inject-faults", default=None, metavar="SPEC",
-                         help="arm a deterministic fault plan on every "
-                              "parallel cell (serial/profile cells pass "
-                              "through); identity-affecting — faulted "
-                              "cells cache separately")
-    p_sweep.add_argument("--on-rank-failure", default=None,
-                         choices=["abort", "degrade"],
-                         help="rank-loss policy for type3/type3x cells: "
-                              "abort (default) or degrade onto survivors")
-    p_sweep.add_argument("--max-retries", type=int, default=0, metavar="N",
-                         help="per-cell retry budget for transient "
-                              "failures (with deterministic jittered "
-                              "backoff); deterministic failures fail fast")
-    p_sweep.add_argument("--eval-mode", default=None,
-                         choices=list(EVAL_MODES),
-                         help="force every cell onto one allocation "
-                              "evaluation path (see `repro run`)")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="process-pool size (implies --backend chunked)")
     p_sweep.add_argument("--backend", default=None, choices=sorted(BACKENDS),
@@ -221,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="artifact directory (default: artifacts/)")
     p_sweep.add_argument("--tag", default=None,
                          help="artifact basename (default: scenario name)")
+    _add_run_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tables = sub.add_parser(
@@ -231,30 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="any registered scenario name instead of "
                                "a table number (see `repro list`)")
     p_tables.add_argument("--circuits", type=_csv_list, default=None)
-    p_tables.add_argument("--cluster", default=None, choices=list(CLUSTERS),
-                          help="force every cell onto one cluster backend")
-    p_tables.add_argument("--deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="run deadline for cells on the real-process "
-                               "backend (default 600s)")
-    p_tables.add_argument("--inject-faults", default=None, metavar="SPEC",
-                          help="arm a deterministic fault plan on every "
-                               "parallel cell")
-    p_tables.add_argument("--on-rank-failure", default=None,
-                          choices=["abort", "degrade"],
-                          help="rank-loss policy for type3/type3x cells")
-    p_tables.add_argument("--max-retries", type=int, default=0, metavar="N",
-                          help="per-cell retry budget for transient failures")
-    p_tables.add_argument("--eval-mode", default=None,
-                          choices=list(EVAL_MODES),
-                          help="force every cell onto one allocation "
-                               "evaluation path (see `repro run`)")
     p_tables.add_argument("--scale", type=int, default=100)
     p_tables.add_argument("--smoke", action="store_true",
                           help="one cheap circuit, minimal iterations")
     p_tables.add_argument("--workers", type=int, default=None,
                           help="process-pool size (cells run in chunks)")
     p_tables.add_argument("--out", default="artifacts")
+    _add_run_flags(p_tables)
     p_tables.set_defaults(func=cmd_tables)
 
     p_diff = sub.add_parser(
@@ -374,21 +329,14 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.registry import SweepCell
-
     if (args.scenario is None) == (args.circuit is None):
         print("need exactly one of --circuit CKT or --scenario NAME",
               file=sys.stderr)
         return 2
     if args.scenario is not None:
         return _run_scenario_inline(args)
-    spec = base_spec(
-        args.circuit,
-        objectives=tuple(args.objectives),
-        iterations=args.iterations,
-        seed=args.seed,
-        eval_mode=args.eval_mode,
-    )
+    spec = base_spec(args.circuit, tuple(args.objectives), args.iterations,
+                     args.seed)
     params: dict[str, Any] = {}
     if args.strategy in ("type1", "type2", "type3", "type3x"):
         default_p = 3 if args.strategy in ("type3", "type3x") else 2
@@ -401,51 +349,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.retry_threshold is not None
             else max(1, args.iterations // 25)
         )
-    if args.cluster != "sim":
-        if args.strategy == "profile":
-            print("--cluster socket does not apply to the in-process "
-                  "profile pseudo-strategy", file=sys.stderr)
-            return 2
-        params["cluster"] = args.cluster
-        if args.deadline is not None:
-            params["deadline"] = args.deadline
-    elif args.deadline is not None:
-        print("--deadline applies to the real-process backend "
-              "(--cluster socket)", file=sys.stderr)
+    cell = SweepCell("cli-run", "", args.strategy, spec,
+                     tuple(sorted(params.items())))
+    try:
+        (cell,) = apply_knobs([cell], _forced_knobs(args), strict=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.inject_faults is not None:
-        if args.strategy in ("serial", "profile"):
-            print("--inject-faults applies to the parallel strategies only",
-                  file=sys.stderr)
-            return 2
-        from repro.parallel.faults import format_faults, parse_faults
-
-        try:
-            params["faults"] = format_faults(parse_faults(args.inject_faults))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.on_rank_failure != "abort":
-        if args.strategy not in ("type3", "type3x"):
-            print("--on-rank-failure degrade applies to type3/type3x only",
-                  file=sys.stderr)
-            return 2
-        params["on_rank_failure"] = args.on_rank_failure
-    # eval_mode lives in the spec (not params — params are runner kwargs),
-    # but a non-default mode is still part of the cell's identity.  The
-    # deadline is operational, not identity, so it stays out of the id.
-    id_parts = {k: v for k, v in params.items() if k != "deadline"}
-    if args.eval_mode != "scalar":
-        id_parts["eval_mode"] = args.eval_mode
-    param_tail = ",".join(f"{k}={v}" for k, v in sorted(id_parts.items()))
-    cell = SweepCell(
-        scenario="cli-run",
-        cell_id=f"{args.circuit}/seed{args.seed}/{args.strategy}"
-        + (f"[{param_tail}]" if param_tail else ""),
-        strategy=args.strategy,
-        spec=spec,
-        params=tuple(sorted(params.items())),
-    )
+    cell = replace(cell, cell_id=sorted_cell_id(cell))
     record = run_cell(cell, max_retries=args.max_retries)
     if not record.ok:
         print(f"FAILED: {record.error}", file=sys.stderr)
@@ -484,8 +395,8 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
     """``repro run --scenario NAME``: every cell, in-process, in order.
 
     A convenience front end over the same cells ``repro sweep`` resolves
-    — no pool, no cache, artifacts only with ``--out``.  ``--cluster
-    socket`` forces the whole scenario onto the real-process backend.
+    — no pool, no cache, artifacts only with ``--out``.  Knob flags force
+    the scenario's cells as in ``sweep``, and tag the artifact likewise.
     """
     try:
         scenario = get_scenario(args.scenario)
@@ -493,29 +404,17 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.cluster != "sim":
-        cells = override_cluster(cells, args.cluster)
-    if args.eval_mode != "scalar":
-        cells = override_eval_mode(cells, args.eval_mode)
-    if args.deadline is not None:
-        cells = override_deadline(cells, args.deadline)
+    forced = _forced_knobs(args)
     try:
-        if args.inject_faults is not None:
-            cells = override_faults(cells, args.inject_faults)
-        if args.on_rank_failure != "abort":
-            cells = override_on_rank_failure(cells, args.on_rank_failure)
+        cells = apply_knobs(cells, forced)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"run {scenario.name}: {len(cells)} cells")
-    records = []
-    for i, cell in enumerate(cells):
-        record = run_cell(cell, max_retries=args.max_retries)
-        records.append(record)
-        _progress(i + 1, len(cells), record)
+    records = run_sweep(cells, progress=_progress, max_retries=args.max_retries)
     if args.out:
         store = ArtifactStore(args.out)
-        tag = scenario.name if args.cluster == "sim" else f"{scenario.name}-{args.cluster}"
+        tag = scenario.name + knob_tag(forced)
         json_path, _csv_path = store.save(tag, records)
         print(f"artifact: {json_path}")
     print()
@@ -528,15 +427,19 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.strategies:
-        if args.scenario:
-            print("--scenario and --strategies are mutually exclusive "
-                  "(a custom grid replaces the named scenario)", file=sys.stderr)
-            return 2
-        if not args.circuits:
-            print("--strategies requires --circuits", file=sys.stderr)
-            return 2
-        try:
+    if args.strategies and args.scenario:
+        print("--scenario and --strategies are mutually exclusive "
+              "(a custom grid replaces the named scenario)", file=sys.stderr)
+        return 2
+    if args.strategies and not args.circuits:
+        print("--strategies requires --circuits", file=sys.stderr)
+        return 2
+    if not (args.strategies or args.scenario or args.smoke):
+        print("need --scenario NAME, --smoke, or a custom grid "
+              "(--circuits + --strategies)", file=sys.stderr)
+        return 2
+    try:
+        if args.strategies:
             scenario = custom_sweep(
                 circuits=args.circuits,
                 strategies=args.strategies,
@@ -544,32 +447,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 patterns=args.patterns,
                 seeds=args.seeds or (1,),
             )
-            # Keep the user's circuits even under --smoke (resolve would
-            # otherwise fall back to the scenario's smoke_circuits default).
-            cells = resolve(
-                scenario, scale=args.scale, circuits=args.circuits, smoke=args.smoke
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        name = args.scenario or ("smoke" if args.smoke else None)
-        if name is None:
-            print("need --scenario NAME, --smoke, or a custom grid "
-                  "(--circuits + --strategies)", file=sys.stderr)
-            return 2
-        try:
-            scenario = get_scenario(name)
-            cells = resolve(
-                scenario,
-                scale=args.scale,
-                circuits=args.circuits,
-                seeds=args.seeds,
-                smoke=args.smoke,
-            )
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        else:
+            scenario = get_scenario(args.scenario or "smoke")
+        # Explicit --circuits win even under --smoke (resolve would
+        # otherwise fall back to the scenario's smoke_circuits default);
+        # a custom grid already carries its seeds.
+        cells = resolve(
+            scenario, scale=args.scale, circuits=args.circuits,
+            seeds=None if args.strategies else args.seeds, smoke=args.smoke,
+        )
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     return _execute_sweep(args, scenario, cells, banner=f"sweep {scenario.name}")
 
 
@@ -605,43 +494,22 @@ def _execute_sweep(
     if not cells:
         print("error: resolved 0 cells (empty circuit/seed set?)", file=sys.stderr)
         return 2
-    forced_cluster = getattr(args, "cluster", None)
-    if forced_cluster:
-        cells = override_cluster(cells, forced_cluster)
-    forced_mode = getattr(args, "eval_mode", None)
-    if forced_mode:
-        cells = override_eval_mode(cells, forced_mode)
-    forced_deadline = getattr(args, "deadline", None)
-    if forced_deadline is not None:
-        # Operational bound only: no tag or cache-key consequences.
-        cells = override_deadline(cells, forced_deadline)
-    forced_faults = getattr(args, "inject_faults", None)
-    forced_policy = getattr(args, "on_rank_failure", None)
+    forced = _forced_knobs(args)
     try:
-        if forced_faults is not None:
-            cells = override_faults(cells, forced_faults)
-        if forced_policy and forced_policy != "abort":
-            cells = override_on_rank_failure(cells, forced_policy)
+        cells = apply_knobs(cells, forced)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     # Smoke runs get their own artifact name so they never clobber a
-    # full-scale run of the same scenario; shards get a slice suffix.
-    tag = getattr(args, "tag", None) or scenario.name
-    if args.smoke and not getattr(args, "tag", None) and not tag.endswith("smoke"):
-        tag = f"{scenario.name}-smoke"
-    if forced_cluster and not getattr(args, "tag", None):
-        # A forced-backend run must never clobber the default artifact.
-        tag = f"{tag}-{forced_cluster}"
-    if forced_mode and forced_mode != "scalar" and not getattr(args, "tag", None):
-        # Same for a forced non-default evaluation path.
-        tag = f"{tag}-{forced_mode}"
-    if forced_faults and not getattr(args, "tag", None):
-        # Chaos runs carry injected failures; keep them clearly apart.
-        tag = f"{tag}-faults"
-    if forced_policy == "degrade" and not getattr(args, "tag", None):
-        tag = f"{tag}-degrade"
+    # full-scale run of the same scenario, nor do forced-knob runs;
+    # shards get a slice suffix.
+    tag = getattr(args, "tag", None)
+    if not tag:
+        tag = scenario.name
+        if args.smoke and not tag.endswith("smoke"):
+            tag = f"{tag}-smoke"
+        tag += knob_tag(forced)
     shard = None
     if getattr(args, "shard", None):
         try:

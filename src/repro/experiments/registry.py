@@ -34,16 +34,19 @@ via ``numpy.random.SeedSequence``, the same discipline as
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
+from repro.parallel.faults import format_faults, parse_faults
 from repro.parallel.mpi.backend import CLUSTERS, validate_cluster
 from repro.parallel.mpi.socket_backend import RANK_FAILURE_POLICIES
 from repro.parallel.runners import ExperimentSpec
+from repro.sime.config import EVAL_MODES
 
 __all__ = [
     "Scenario",
@@ -59,11 +62,12 @@ __all__ = [
     "get_scenario",
     "resolve",
     "custom_sweep",
-    "override_cluster",
-    "override_deadline",
-    "override_eval_mode",
-    "override_faults",
-    "override_on_rank_failure",
+    "Knob",
+    "KNOBS",
+    "apply_knob",
+    "apply_knobs",
+    "knob_tag",
+    "sorted_cell_id",
     "base_spec",
     "scaled_iterations",
     "derive_seeds",
@@ -618,6 +622,16 @@ def _cell_id(circuit: str, seed: int, strategy: str, params: Mapping[str, Any]) 
     return f"{circuit}/seed{seed}/{strategy}{tail}"
 
 
+def sorted_cell_id(cell: SweepCell) -> str:
+    """``cell``'s id with a sorted-key tail of its non-knob params and its
+    identity knobs off their defaults (the ``repro run --circuit`` form)."""
+    tail = {k: v for k, v in cell.params if k not in KNOB}
+    tail.update((k.name, k.value_of(cell)) for k in KNOBS
+                if k.identity and k.value_of(cell) != k.default)
+    return _cell_id(cell.spec.circuit, cell.spec.seed, cell.strategy,
+                    dict(sorted(tail.items())))
+
+
 def resolve(
     scenario: Scenario | str,
     scale: int = 100,
@@ -699,228 +713,174 @@ def _validate(strategy: str, params: Mapping[str, Any]) -> None:
         "fixed", "random", "contiguous"
     ):
         raise ValueError(f"unknown row pattern {params.get('pattern')!r}")
-    validate_cluster(params.get("cluster", "sim"))
-    if strategy == "profile" and "cluster" in params:
-        raise ValueError("the profile pseudo-strategy runs in-process only")
-    faults = params.get("faults")
-    if faults is not None:
-        if strategy in ("serial", "profile"):
-            raise ValueError(f"{strategy} cells cannot carry fault plans")
-        from repro.parallel.faults import parse_faults
-
-        parse_faults(faults)  # raises on malformed specs
-    policy = params.get("on_rank_failure")
-    if policy is not None:
-        if strategy not in ("type3", "type3x"):
-            raise ValueError(
-                "on_rank_failure applies to type3/type3x cells only"
-            )
-        if policy not in RANK_FAILURE_POLICIES:
-            raise ValueError(
-                f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-                f"got {policy!r}"
-            )
+    for knob in KNOBS:
+        if knob.where == "params" and knob.name in params:
+            if strategy not in knob.strategies:
+                raise ValueError(knob.misfit(f"{strategy} cells"))
+            knob.check(params[knob.name])
 
 
-_CLUSTER_IN_ID = re.compile(r"cluster=\w+")
+# ---------------------------------------------------------------------------
+# Run-wide knobs: one table drives cell rewriting, validation and the CLI
+# ---------------------------------------------------------------------------
 
 
-def override_cluster(cells: Iterable[SweepCell], cluster: str) -> list[SweepCell]:
-    """Force every cell onto one cluster backend (``repro sweep --cluster``).
+def _positive_seconds(value: Any) -> float:
+    if not (math.isfinite(float(value)) and float(value) > 0):
+        raise ValueError(f"deadline must be finite and > 0, got {value!r}")
+    return float(value)
 
-    Rewrites each cell's params and cell id so that runs of the same grid
-    on different backends never collide in artifacts or the resume cache
-    (the cache keys on params, so each backend caches independently).
-    ``profile`` cells run in-process and pass through untouched.  Cells
-    with no ``cluster`` param already run on ``sim``, so forcing ``sim``
-    leaves them (and their ids/cache keys) alone; a scenario that pins
-    several backends per point (``speedup``) collapses to one cell per
-    point — the rewrite never emits duplicate cell ids.
+
+def _canonical_faults(spec: str) -> str:
+    return format_faults(parse_faults(spec))  # raises on malformed specs
+
+
+@dataclass(frozen=True)
+class Knob:
+    """A run-wide knob that ``run``/``sweep``/``tables`` can force on cells.
+
+    The value lives in ``params`` or ``spec`` (``where``), ``default`` when
+    absent; a forced one must be in ``choices`` or pass ``canon``.  Only
+    ``strategies`` take it (``wall_only``: off the ``sim`` cluster only;
+    ``scope`` says why).  Non-``identity`` knobs stay out of cell ids and
+    artifact names and are exactly ``NON_IDENTITY_PARAMS`` (lint K302).
+    ``tag`` suffixes a forced run's artifact name unless the value is
+    ``default`` (``tag_default`` tags that too).
     """
-    validate_cluster(cluster)
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy == "profile" or params.get("cluster", "sim") == cluster:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        params["cluster"] = cluster
-        cid = cell.cell_id
-        if _CLUSTER_IN_ID.search(cid):
-            cid = _CLUSTER_IN_ID.sub(f"cluster={cluster}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},cluster={cluster}]"
-        else:
-            cid = f"{cid}[cluster={cluster}]"
-        if cid in seen:
-            continue  # its own-backend twin is already in the list
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
-    return out
+
+    name: str
+    flag: str
+    where: str
+    default: Any
+    strategies: tuple[str, ...]
+    help: str
+    scope: str = ""
+    choices: tuple[str, ...] | None = None
+    canon: Callable[[Any], Any] | None = None
+    identity: bool = True
+    wall_only: bool = False
+    tag: str = "-{value}"
+    tag_default: bool = False
+    type: Callable[[str], Any] = str
+    metavar: str | None = None
+
+    def check(self, value: Any) -> Any:
+        """The canonical form of ``value``; ``ValueError`` if illegal."""
+        if self.canon is not None:
+            return self.canon(value)
+        if value not in (self.choices or ()):
+            raise ValueError(f"{self.name} must be one of {self.choices}, "
+                             f"got {value!r}")
+        return value
+
+    def value_of(self, cell: SweepCell) -> Any:
+        if self.where == "spec":
+            return getattr(cell.spec, self.name)
+        return cell.params_dict().get(self.name, self.default)
+
+    def misfit(self, what: str) -> str:
+        return f"{self.name} does not apply to {what}: {self.scope}"
 
 
-def override_deadline(
-    cells: Iterable[SweepCell], seconds: float
+_PARALLEL = ("type1", "type2", "type3", "type3x")
+
+#: The run-wide knobs, in the order they are applied.  Only ``cluster`` is
+#: also pinned by a registered scenario (``speedup``).
+KNOBS: tuple[Knob, ...] = (
+    Knob("cluster", "--cluster", "params", "sim", _PARALLEL + ("serial",),
+         "execution backend: sim (simulated cluster, model-seconds; "
+         "default) or socket (real processes, p <= 256, wall-clock)",
+         scope="the profile pseudo-strategy runs in-process only",
+         choices=CLUSTERS, canon=validate_cluster,
+         # Forcing sim collapses speedup's socket cells: tag it too.
+         tag_default=True),
+    Knob("eval_mode", "--eval-mode", "spec", "scalar", STRATEGIES,
+         "allocation evaluation path: scalar (bit-exact default), batch "
+         "(SoA kernel, ulp budget) or check (scalar + batch re-scoring)",
+         choices=EVAL_MODES),
+    Knob("deadline", "--deadline", "params", None, _PARALLEL + ("serial",),
+         "run deadline in seconds (finite, > 0; default 600) for cells on "
+         "the real-process backend; not part of cell identity",
+         scope="it bounds real-process runs only (--cluster socket)",
+         canon=_positive_seconds, identity=False, wall_only=True,
+         type=float, metavar="SECONDS"),
+    Knob("faults", "--inject-faults", "params", None, _PARALLEL,
+         "arm a deterministic fault plan on every parallel cell, e.g. "
+         "'kill:at=6' or 'wedge:rank=2:at=5'",
+         scope="serial and profile cells have no cluster to fault",
+         canon=_canonical_faults, tag="-faults", metavar="SPEC"),
+    Knob("on_rank_failure", "--on-rank-failure", "params", "abort",
+         ("type3", "type3x"),
+         "type3/type3x response to a lost rank: abort (fail fast; "
+         "default) or degrade (continue on the survivors at reduced p)",
+         scope="only type3/type3x can continue on the surviving ranks",
+         choices=RANK_FAILURE_POLICIES),
+)
+KNOB: dict[str, Knob] = {k.name: k for k in KNOBS}
+
+
+def apply_knob(
+    cells: Iterable[SweepCell], name: str, value: Any, strict: bool = False
 ) -> list[SweepCell]:
-    """Set the wall-clock backends' run deadline on every cell (``--deadline``).
+    """Force knob ``name`` to ``value`` on every cell that takes it.
 
-    Adds a ``deadline`` runner parameter to each cell whose effective
-    cluster is wall-clock (every backend but ``sim``); ``sim`` cells
-    and in-process ``profile`` cells pass through untouched — the
-    simulated cluster detects deadlock structurally instead of by
-    timeout.  The deadline is operational, not part of a cell's physics:
-    cell ids and resume-cache keys are unchanged (``cell_key`` excludes
-    it), so tightening a deadline never invalidates cached results.
+    Other cells, and cells already holding ``value``, pass through as they
+    are; under ``strict`` (``repro run --circuit``) a cell that cannot take
+    the knob raises ``ValueError``.  A rewritten cell holds the value in
+    its params or spec and, for an identity knob, in its cell id.  A cell
+    whose id was already emitted is dropped, so a scenario pinning several
+    values per point (``speedup``) collapses to one cell per point.
     """
-    if seconds <= 0:
-        raise ValueError(f"deadline must be positive, got {seconds}")
-    out: list[SweepCell] = []
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy == "profile" or params.get("cluster", "sim") == "sim":
-            out.append(cell)
-            continue
-        params["deadline"] = float(seconds)
-        out.append(replace(cell, params=tuple(sorted(params.items()))))
-    return out
-
-
-_EVAL_IN_ID = re.compile(r"eval_mode=\w+")
-
-
-def override_eval_mode(cells: Iterable[SweepCell], mode: str) -> list[SweepCell]:
-    """Force every cell onto one evaluation path (``--eval-mode``).
-
-    Rewrites each cell's spec and cell id so scalar and batch runs of the
-    same grid never collide in artifacts or the resume cache (batch-mode
-    trajectories may legitimately diverge within the ulp budget, so the
-    two must cache independently).  Cells already on ``mode`` pass
-    through untouched — in particular forcing the default ``"scalar"``
-    leaves ids and cache keys alone.
-    """
-    from repro.sime.config import EVAL_MODES
-
-    if mode not in EVAL_MODES:
-        raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {mode!r}")
+    knob = KNOB[name]
+    value = knob.check(value)
+    in_id = re.compile(rf"(?<=[\[,]){name}=[^,\]]*")
+    pair = f"{name}={_fmt_param(value)}"
     out: list[SweepCell] = []
     seen: set[str] = set()
     for cell in cells:
-        if cell.spec.eval_mode == mode:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        cid = cell.cell_id
-        if _EVAL_IN_ID.search(cid):
-            cid = _EVAL_IN_ID.sub(f"eval_mode={mode}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},eval_mode={mode}]"
-        else:
-            cid = f"{cid}[eval_mode={mode}]"
-        if cid in seen:
-            continue  # its own-mode twin is already in the list
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, spec=replace(cell.spec, eval_mode=mode)
-        ))
-    return out
-
-
-_FAULTS_IN_ID = re.compile(r"faults=[^,\]]+")
-
-
-def override_faults(cells: Iterable[SweepCell], faults: str) -> list[SweepCell]:
-    """Arm a fault-plan spec on every parallel cell (``--inject-faults``).
-
-    The plan is identity-affecting — an injected failure (or a degraded
-    survivor run) is a different result than a clean run — so each
-    rewritten cell gets the spec in both its params and its cell id, and
-    caches independently of its clean twin.  ``serial`` and ``profile``
-    cells have no cluster to fault and pass through untouched.  The spec
-    is validated here, before any process is spawned.
-    """
-    from repro.parallel.faults import format_faults, parse_faults
-
-    spec = format_faults(parse_faults(faults))  # validate + canonicalise
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy in ("serial", "profile") or params.get("faults") == spec:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        params["faults"] = spec
-        cid = cell.cell_id
-        if _FAULTS_IN_ID.search(cid):
-            cid = _FAULTS_IN_ID.sub(f"faults={spec}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},faults={spec}]"
-        else:
-            cid = f"{cid}[faults={spec}]"
-        if cid in seen:
-            continue
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
-    return out
-
-
-_POLICY_IN_ID = re.compile(r"on_rank_failure=\w+")
-
-
-def override_on_rank_failure(
-    cells: Iterable[SweepCell], policy: str
-) -> list[SweepCell]:
-    """Set the rank-loss policy on type3/type3x cells (``--on-rank-failure``).
-
-    Identity-affecting like :func:`override_faults`: a degraded run's
-    outcome records the losses, so ``degrade`` cells must not share cache
-    entries with their abort twins.  Forcing the default ``"abort"``
-    leaves untouched cells (and their ids/cache keys) alone.  Strategies
-    without a master/survivor structure pass through unchanged — only
-    type3/type3x know how to continue at reduced p.
-    """
-    if policy not in RANK_FAILURE_POLICIES:
-        raise ValueError(
-            f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-            f"got {policy!r}"
-        )
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        current = params.get("on_rank_failure", "abort")
-        if cell.strategy not in ("type3", "type3x") or current == policy:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        if policy == "abort":
-            params.pop("on_rank_failure", None)
-        else:
-            params["on_rank_failure"] = policy
-        cid = cell.cell_id
-        if _POLICY_IN_ID.search(cid):
-            if policy == "abort":
-                cid = re.sub(r",?on_rank_failure=\w+", "", cid)
+        held = knob.value_of(cell) == value
+        takes = cell.strategy in knob.strategies
+        on_sim = knob.wall_only and KNOB["cluster"].value_of(cell) == "sim"
+        if not held and takes and not on_sim:
+            if knob.where == "spec":
+                cell = replace(cell, spec=replace(cell.spec, **{name: value}))
             else:
-                cid = _POLICY_IN_ID.sub(f"on_rank_failure={policy}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},on_rank_failure={policy}]"
-        else:
-            cid = f"{cid}[on_rank_failure={policy}]"
-        if cid in seen:
-            continue
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
+                params = {**cell.params_dict(), name: value}
+                cell = replace(cell, params=tuple(sorted(params.items())))
+            if knob.identity:
+                cid = cell.cell_id
+                if in_id.search(cid):
+                    cid = in_id.sub(lambda _: pair, cid)
+                elif cid.endswith("]"):
+                    cid = f"{cid[:-1]},{pair}]"
+                else:
+                    cid = f"{cid}[{pair}]"
+                cell = replace(cell, cell_id=cid)
+        elif not held and strict:
+            where = " on the sim cluster" if takes else ""
+            raise ValueError(knob.misfit(f"{cell.strategy} cells{where}"))
+        if cell.cell_id not in seen:
+            seen.add(cell.cell_id)
+            out.append(cell)
     return out
+
+
+def apply_knobs(
+    cells: Iterable[SweepCell], forced: Mapping[str, Any], strict: bool = False
+) -> list[SweepCell]:
+    """:func:`apply_knob` for each knob in ``forced``, in table order."""
+    out = list(cells)
+    for knob in KNOBS:
+        if knob.name in forced:
+            out = apply_knob(out, knob.name, forced[knob.name], strict)
+    return out
+
+
+def knob_tag(forced: Mapping[str, Any]) -> str:
+    """Artifact-name suffix of a run with ``forced`` knobs, so that it
+    never clobbers the default artifact (``-socket-batch-faults``)."""
+    return "".join(
+        k.tag.format(value=forced[k.name]) for k in KNOBS
+        if k.name in forced and k.identity
+        and (forced[k.name] != k.default or k.tag_default)
+    )

@@ -271,7 +271,7 @@ class ProjectModel:
     manifests: dict[str, tuple[tuple[str, ...], str, int]] = field(
         default_factory=dict
     )
-    #: Functions by bare name (e.g. every ``override_*``; ``cell_key``).
+    #: Functions by bare name (e.g. ``apply_knob``; ``cell_key``).
     functions: dict[str, list[FunctionInfo]] = field(default_factory=dict)
 
     def manifest(self, name: str) -> tuple[str, ...] | None:

@@ -5,7 +5,7 @@ that determines a cell's result** reaches the ``stable_hash`` cache key
 and the cell id.  PR 4 learned this the hard way (``run_esp`` rebuilt
 its spec field-by-field and silently dropped four knobs).  These rules
 cross-reference the identity dataclasses against explicit manifests and
-against the ``cell_key``/``canonical()``/``override_*`` call sites, so
+against the ``cell_key``/``canonical()``/``apply_knob`` definitions, so
 adding a field without threading it into the identity machinery is a
 lint error, not a silent cache collision.
 
@@ -15,8 +15,8 @@ The cross-referenced names (all checked purely from the AST):
 * ``RunRecord`` (experiments/artifacts.py) ↔
   ``CANONICAL_RESULT_FIELDS`` / ``CANONICAL_OPERATIONAL_FIELDS`` and the
   ``canonical()`` strip list;
-* every ``override_*`` knob ↔ ``NON_IDENTITY_PARAMS`` and the
-  ``cell_key`` exclusion filter.
+* each ``Knob`` table entry ↔ ``NON_IDENTITY_PARAMS``, ``cell_key``'s
+  exclusion filter and ``apply_knob``'s params/spec and cell-id writes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.lint.rules import ProjectRule, register
 
 __all__ = [
     "SpecIdentityManifest",
-    "OverrideKnobIdentity",
+    "KnobTableIdentity",
     "CanonicalFieldManifest",
     "SpecRebuildByHand",
 ]
@@ -42,6 +42,8 @@ RECORD_CLASS = "RunRecord"
 RESULT_MANIFEST = "CANONICAL_RESULT_FIELDS"
 OPERATIONAL_MANIFEST = "CANONICAL_OPERATIONAL_FIELDS"
 PARAMS_EXEMPT = "NON_IDENTITY_PARAMS"
+KNOB_CLASS = "Knob"
+APPLY_FN = "apply_knob"
 
 
 def _method(dc: DataclassInfo, name: str) -> ast.FunctionDef | None:
@@ -164,67 +166,86 @@ class SpecIdentityManifest(ProjectRule):
                 )
 
 
+def _knob_entries(
+    contexts: list[ModuleContext],
+) -> Iterator[tuple[str, ast.Call, str, bool]]:
+    """``(path, call, name, identity)`` per ``Knob("name", ...)`` entry;
+    ``identity`` is True unless passed a literal False (the field default)."""
+    for ctx in contexts:
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == KNOB_CLASS
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                flag = {k.arg: k.value for k in node.keywords}.get("identity")
+                exempt = isinstance(flag, ast.Constant) and flag.value is False
+                yield ctx.path, node, str(node.args[0].value), not exempt
+
+
+def _has_keyword(node: ast.AST, names: tuple[str, ...]) -> bool:
+    return any(
+        isinstance(sub, ast.Call) and any(k.arg in names for k in sub.keywords)
+        for sub in ast.walk(node)
+    )
+
+
 @register
-class OverrideKnobIdentity(ProjectRule):
-    """K302 — every override_* knob reaches params/spec and the cell id."""
+class KnobTableIdentity(ProjectRule):
+    """K302 — every knob reaches the cell's identity or is declared exempt."""
 
     id = "K302"
     invariant = (
-        "every override_* knob is threaded into the hashed params/spec "
-        "AND the cell id, or is declared operational in "
-        "NON_IDENTITY_PARAMS (and excluded from cell_key by that name)"
+        "a knob-table entry is non-identity exactly when its name is in "
+        "NON_IDENTITY_PARAMS (excluded from cell_key by that name), and "
+        "the one apply_knob function threads a forced value into the "
+        "hashed params/spec AND the cell id"
     )
 
     def check_project(
         self, contexts: list[ModuleContext], model: ProjectModel
     ) -> Iterator[Finding]:
         exempt = set(model.manifest(PARAMS_EXEMPT) or ())
-        for name, fns in model.functions.items():
-            if not name.startswith("override_"):
-                continue
-            knob = name[len("override_"):]
-            for fn in fns:
-                if knob in exempt:
-                    continue
-                body = fn.node
-                rewrites_id = any(
-                    isinstance(sub, ast.Call)
-                    and any(k.arg == "cell_id" for k in sub.keywords)
-                    for sub in ast.walk(body)
+        entries = list(_knob_entries(contexts))
+        for path, node, name, identity in entries:
+            if identity == (name in exempt):
+                yield self.finding(
+                    path, node,
+                    f"knob {name!r} has identity={identity} but is "
+                    f"{'' if identity else 'not '}in {PARAMS_EXEMPT}: the "
+                    "cell id and the cell_key cache hash disagree on it",
                 )
-                writes_identity = any(
-                    (
-                        isinstance(sub, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Subscript)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "params"
-                            for t in sub.targets
-                        )
-                    )
-                    or (
-                        isinstance(sub, ast.Call)
-                        and any(
-                            k.arg in ("params", "spec") for k in sub.keywords
-                        )
-                    )
-                    for sub in ast.walk(body)
+        if entries:
+            _, path, line = model.manifests.get(PARAMS_EXEMPT, ((), "", 1))
+            for name in sorted(exempt - {e[2] for e in entries}):
+                yield self.finding(
+                    path, None,
+                    f"{PARAMS_EXEMPT} lists {name!r}, which is not a "
+                    f"{KNOB_CLASS} table entry; manifest and table drifted",
+                    line=line,
                 )
-                if not writes_identity:
-                    yield self.finding(
-                        fn.path, body,
-                        f"{name} never threads {knob!r} into the cell's "
-                        "params or spec: the knob changes results but not "
-                        "the stable_hash cache key (or declare it in "
-                        f"{PARAMS_EXEMPT} if it is purely operational)",
-                    )
-                if not rewrites_id:
-                    yield self.finding(
-                        fn.path, body,
-                        f"{name} never rewrites cell_id: cells with "
-                        f"different {knob!r} values collide in artifacts "
-                        "and renderers",
-                    )
+            if APPLY_FN not in model.functions:
+                yield self.finding(
+                    entries[0][0], entries[0][1],
+                    f"a {KNOB_CLASS} table with no {APPLY_FN} function: "
+                    "forced knobs have no audited path into cell identity",
+                )
+        for fn in model.functions.get(APPLY_FN, []):
+            if not _has_keyword(fn.node, ("params", "spec")):
+                yield self.finding(
+                    fn.path, fn.node,
+                    f"{APPLY_FN} never threads the forced value into the "
+                    "cell's params or spec: the knob changes results but "
+                    "not the stable_hash cache key",
+                )
+            if not _has_keyword(fn.node, ("cell_id",)):
+                yield self.finding(
+                    fn.path, fn.node,
+                    f"{APPLY_FN} never rewrites cell_id: cells with "
+                    "different knob values collide in artifacts",
+                )
         # cell_key's param exclusions must be exactly the declared
         # operational knobs — a literal exclusion is invisible drift.
         for fn in model.functions.get("cell_key", []):

@@ -439,3 +439,43 @@ def test_sweep_eval_mode_tags_artifact(tmp_path, capsys):
     for rec in payload["records"]:
         assert "eval_mode=batch" in rec["cell_id"]
         assert rec["spec"]["eval_mode"] == "batch"
+
+
+# ------------------------------------------------------- run-wide knob flags
+
+
+@pytest.mark.parametrize("verb", [
+    ["run", "--circuit", "s1196", "--strategy", "type2", "--cluster", "socket"],
+    ["sweep", "--smoke", "--cluster", "socket"],
+    ["tables", "--table", "1", "--smoke", "--cluster", "socket"],
+])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_deadline_rejects_non_finite_and_non_positive(verb, bad, tmp_path, capsys):
+    code = main(verb + ["--deadline", bad, "--out", str(tmp_path)])
+    assert code == 2
+    assert "deadline" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "serial", "--inject-faults", "kill:at=3"],
+    ["--strategy", "type2", "--on-rank-failure", "degrade"],
+    ["--strategy", "type2", "--deadline", "30"],  # sim cluster: no deadline
+    ["--strategy", "type2", "--inject-faults", "explode:at=1"],
+])
+def test_run_rejects_knob_its_cell_cannot_take(argv, capsys):
+    assert main(["run", "--circuit", "s1196", "--iterations", "4"] + argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_scenario_forced_knob_keeps_default_artifact(tmp_path, capsys):
+    default = tmp_path / "smoke.json"
+    default.write_text("sentinel")
+    code = main(["run", "--scenario", "smoke", "--on-rank-failure", "degrade",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert default.read_text() == "sentinel"
+    payload = json.loads((tmp_path / "smoke-degrade.json").read_text())
+    degraded = [r for r in payload["records"]
+                if "on_rank_failure=degrade" in r["cell_id"]]
+    assert {r["strategy"] for r in degraded} == {"type3", "type3x"}

@@ -285,10 +285,10 @@ def test_validate_rejects_bad_cluster():
 
 
 def test_override_cluster_rewrites_params_and_ids():
-    from repro.experiments.registry import override_cluster
+    from repro.experiments.registry import apply_knob
 
     cells = resolve("smoke", smoke=True)
-    forced = override_cluster(cells, "socket")
+    forced = apply_knob(cells, "cluster", "socket")
     assert len(forced) == len(cells)
     for before, after in zip(cells, forced):
         assert after.params_dict()["cluster"] == "socket"
@@ -296,16 +296,16 @@ def test_override_cluster_rewrites_params_and_ids():
         assert after.spec == before.spec
     # Forcing sim on cells with no cluster param (they already run on
     # sim) is a complete no-op: ids and cache keys stay untouched.
-    assert override_cluster(cells, "sim") == cells
+    assert apply_knob(cells, "cluster", "sim") == cells
     speedup_cells = resolve("speedup", scale=100)
     sim_pinned = [
         c for c in speedup_cells if c.params_dict().get("cluster") == "sim"
     ]
-    assert override_cluster(sim_pinned, "sim") == sim_pinned
+    assert apply_knob(sim_pinned, "cluster", "sim") == sim_pinned
     # A scenario pinning several backends per point collapses to one cell
     # per point — rewritten twins dedupe, ids stay unique — and every
     # point survives, the socket-only p > 16 ladder included.
-    socket_forced = override_cluster(speedup_cells, "socket")
+    socket_forced = apply_knob(speedup_cells, "cluster", "socket")
 
     def point(c):
         prm = c.params_dict()
@@ -321,14 +321,14 @@ def test_override_cluster_rewrites_params_and_ids():
         assert c.params_dict().get("cluster") == "socket"
     assert max(c.params_dict().get("p", 1) for c in socket_forced) == 64
     with pytest.raises(ValueError, match="unknown cluster backend"):
-        override_cluster(cells, "slurm")
+        apply_knob(cells, "cluster", "slurm")
 
 
 def test_override_cluster_leaves_profile_cells_alone():
-    from repro.experiments.registry import override_cluster
+    from repro.experiments.registry import apply_knob
 
     cells = resolve("profile", scale=100)
-    forced = override_cluster(cells, "socket")
+    forced = apply_knob(cells, "cluster", "socket")
     assert forced == cells
 
 
@@ -340,24 +340,24 @@ def test_speedup_cell_ids_distinguish_backends():
 
 
 def test_override_eval_mode_rewrites_spec_and_ids():
-    from repro.experiments.registry import override_eval_mode
+    from repro.experiments.registry import apply_knob
 
     cells = resolve("smoke", smoke=True)
-    forced = override_eval_mode(cells, "batch")
+    forced = apply_knob(cells, "eval_mode", "batch")
     assert len(forced) == len(cells)
     for before, after in zip(cells, forced):
         assert after.spec.eval_mode == "batch"
         assert "eval_mode=batch" in after.cell_id
         assert after.params == before.params  # params never carry the mode
     # Forcing the default mode on default cells is a complete no-op.
-    assert override_eval_mode(cells, "scalar") == cells
+    assert apply_knob(cells, "eval_mode", "scalar") == cells
     # Re-forcing substitutes rather than appending a second tag.
-    again = override_eval_mode(forced, "check")
+    again = apply_knob(forced, "eval_mode", "check")
     for c in again:
         assert c.cell_id.count("eval_mode=") == 1
         assert c.spec.eval_mode == "check"
     with pytest.raises(ValueError, match="eval_mode"):
-        override_eval_mode(cells, "vectorized")
+        apply_knob(cells, "eval_mode", "vectorized")
 
 
 def test_eval_mode_roundtrips_through_spec_dicts():

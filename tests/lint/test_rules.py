@@ -77,7 +77,8 @@ def test_c202_flags_each_construct():
 
 
 def test_k302_flags_both_halves():
-    # Knob missing from params/spec AND from the cell id: two findings.
+    # A non-identity knob outside NON_IDENTITY_PARAMS, and an apply_knob
+    # that never rewrites the cell id: one finding per half.
     assert len(run_rule("K302", "k302_bad.py")) == 2
 
 
