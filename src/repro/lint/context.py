@@ -74,14 +74,6 @@ class ModuleContext:
         default_factory=dict
     )
 
-    def resolves_to(self, node: ast.AST, dotted: str) -> bool:
-        """True when ``node`` is a reference to the dotted name ``dotted``.
-
-        Handles both ``import x.y`` + ``x.y.z`` attributes and
-        ``from x.y import z`` + bare ``z`` names, through aliases.
-        """
-        return self.dotted_name(node) == dotted
-
     def dotted_name(self, node: ast.AST) -> str | None:
         """The import-resolved dotted name of a Name/Attribute chain."""
         parts: list[str] = []

@@ -27,7 +27,7 @@ from repro.lint.context import (
 )
 from repro.lint.findings import Finding, LintReport, Severity
 from repro.lint.noqa import scan_suppressions
-from repro.lint.rules import ModuleRule, ProjectRule, Rule, rules_by_id
+from repro.lint.rules import ModuleRule, ProjectRule, rules_by_id
 from repro.lint.scoping import DEFAULT_EXCLUDES
 
 __all__ = [
@@ -158,7 +158,3 @@ def apply_suppressions(
         out.append(f)
     return out
 
-
-def check_rule(rule: Rule, path: str | Path) -> list[Finding]:
-    """Run one rule against one file, scoping disabled (test helper)."""
-    return lint_paths([path], select=[rule.id], no_scope=True).active

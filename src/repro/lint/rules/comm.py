@@ -1,10 +1,11 @@
 """C-rules: comm-protocol discipline inside ``parallel/``.
 
-The fault-injection layer (PR 8) counts *public comm ops* by wrapping
-``send``/``recv``/collectives on the comm objects, and the liveness
-layer assumes every blocking wait is bounded.  Both assumptions die
-silently if code underneath grows a raw socket write or an unbounded
-``Connection.recv()`` — these rules pin the layering.
+The one comm interception point (``parallel/trace.intercept``, which
+carries both the fault triggers and the trace recorder) counts *public
+comm ops* by wrapping ``send``/``recv``/collectives on the comm objects,
+and the liveness layer assumes every blocking wait is bounded.  Both
+assumptions die silently if code underneath grows a raw socket write or
+an unbounded ``Connection.recv()`` — these rules pin the layering.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class RawCommSend(ModuleRule):
     id = "C201"
     invariant = (
         "every byte between ranks flows through the framing/transport "
-        "helpers in message.py/commbase.py, so fault-injection op "
-        "counting and wire framing stay uniform across backends"
+        "helpers in message.py/commbase.py, so the comm interception "
+        "point's op counting and wire framing stay uniform across backends"
     )
     scope = RuleScope(include=COMM_LAYER, exclude=COMM_IMPL)
 

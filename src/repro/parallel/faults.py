@@ -15,10 +15,11 @@ replayable input:
   ``(seed, plan)`` picks the same rank every run on every backend —
   and never rank 0, which the master-style strategies cannot lose
   without the whole run aborting trivially;
-* the plan is threaded through ``make_cluster``; each cluster arms it on
-  every rank's communicator by counting that rank's comm operations and
-  firing when the count reaches ``at`` — the firing point is a property
-  of the SPMD code path, not of wall-clock timing.
+* the plan is threaded through ``make_cluster``; on every rank it
+  becomes the ``before`` hook of the one comm interception point
+  (:func:`repro.parallel.trace.intercept`), which counts that rank's comm
+  operations and fires when the count reaches ``at`` — the firing point
+  is a property of the SPMD code path, not of wall-clock timing.
 
 Fault kinds
 -----------
@@ -56,6 +57,7 @@ attempt 1.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
@@ -68,7 +70,6 @@ from repro.utils.hashing import stable_hash
 __all__ = [
     "Fault",
     "FaultPlan",
-    "FaultedFn",
     "InjectedFault",
     "FAULT_KINDS",
     "KILL_EXIT",
@@ -125,8 +126,10 @@ class Fault:
             raise ValueError(f"fault rank must be >= 0, got {self.rank}")
         if self.attempt is not None and self.attempt < 1:
             raise ValueError(f"fault attempt must be >= 1, got {self.attempt}")
-        if self.seconds < 0:
-            raise ValueError(f"fault seconds must be >= 0, got {self.seconds}")
+        if not (math.isfinite(self.seconds) and self.seconds >= 0):
+            raise ValueError(
+                f"fault seconds must be finite and >= 0, got {self.seconds}"
+            )
 
     def spec(self) -> str:
         """The fault as one spec-string clause (parse/format round-trip)."""
@@ -240,60 +243,46 @@ class FaultPlan:
             resolved.append(fault)
         return replace(self, faults=tuple(resolved))
 
-    def arm(self, comm: Any, mode: str = "exception") -> None:
-        """Install this plan on ``comm`` (wraps its comm ops in place).
+    def arm(
+        self, comm: Any, mode: str = "exception"
+    ) -> Callable[[str], bool] | None:
+        """This rank's ``before`` hook for the comm interception point.
 
-        ``mode="process"`` enacts kills/wedges at the OS level
-        (``os._exit`` / self-SIGSTOP); ``mode="exception"`` raises
-        :class:`InjectedFault` instead — the only option on the simulated
-        cluster, whose ranks are threads of one process.  Ranks the plan
-        does not target are untouched.  Must be called with an already
-        :meth:`resolve`-d plan.
+        The hook (see :func:`repro.parallel.trace.intercept`) runs before
+        each public comm op: it counts ops, and sends separately, enacts
+        the faults that fall due, and returns True when the current
+        ``send`` must be dropped.  Returns ``None`` for a rank the plan
+        does not target.  ``mode="process"`` enacts kills/wedges at the
+        OS level (``os._exit`` / self-SIGSTOP); ``mode="exception"``
+        raises :class:`InjectedFault` instead — the only option on the
+        simulated cluster, whose ranks are threads of one process.  Must
+        be called on an already :meth:`resolve`-d plan.
         """
-        mine = sorted(
+        pending = sorted(
             (f for f in self.faults if f.rank == comm.rank),
             key=lambda f: (f.at, FAULT_KINDS.index(f.kind)),
         )
-        if not mine:
-            return
-        # depth guards re-entrancy: backends that implement collectives
-        # over their own send/recv must still count one op per *public*
-        # call, or the firing point would depend on the backend.
-        counters = {"ops": 0, "sends": 0, "depth": 0}
-        pending = list(mine)
+        if not pending:
+            return None
+        ops = sends = 0
 
-        def fire_due(is_send: bool) -> bool:
+        def before(op: str) -> bool:
+            nonlocal ops, sends
+            is_send = op == "send"
+            ops += 1
+            sends += is_send
             dropped = False
             for fault in list(pending):
                 if fault.kind in ("drop", "delay"):
-                    if not (is_send and counters["sends"] == fault.at):
+                    if not (is_send and sends == fault.at):
                         continue
-                elif counters["ops"] != fault.at:
+                elif ops != fault.at:
                     continue
                 pending.remove(fault)
                 dropped |= _enact(fault, comm, mode)
             return dropped
 
-        def wrap(base: Callable[..., Any], is_send: bool) -> Callable[..., Any]:
-            def wrapped(*args: Any, **kwargs: Any) -> Any:
-                if counters["depth"]:
-                    return base(*args, **kwargs)
-                counters["ops"] += 1
-                if is_send:
-                    counters["sends"] += 1
-                if fire_due(is_send) and is_send:
-                    return None  # frame dropped on the floor
-                counters["depth"] += 1
-                try:
-                    return base(*args, **kwargs)
-                finally:
-                    counters["depth"] -= 1
-
-            return wrapped
-
-        comm.send = wrap(comm.send, is_send=True)
-        for op in ("recv", "bcast", "scatter", "gather", "barrier"):
-            setattr(comm, op, wrap(getattr(comm, op), is_send=False))
+        return before
 
 
 def _enact(fault: Fault, comm: Any, mode: str) -> bool:
@@ -334,21 +323,3 @@ def as_plan(
     if faults is None or isinstance(faults, FaultPlan):
         return faults
     return FaultPlan.parse(faults, seed=seed).for_attempt(1)
-
-
-class FaultedFn:
-    """Picklable SPMD wrapper that arms a fault plan before running ``fn``.
-
-    Clusters wrap the user's function with this so the plan travels to
-    every rank (including across a ``spawn`` pickle boundary) and is
-    armed on that rank's communicator before any strategy code runs.
-    """
-
-    def __init__(self, fn: Callable[..., Any], plan: FaultPlan, mode: str):
-        self.fn = fn
-        self.plan = plan
-        self.mode = mode
-
-    def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
-        self.plan.arm(comm, mode=self.mode)
-        return self.fn(comm, *args, **kwargs)

@@ -117,19 +117,20 @@ def make_cluster(
     run deadline (ignored by the simulated backend, which detects
     deadlock structurally instead); the CLI exposes it as ``--deadline``.
 
-    ``faults`` is a :class:`~repro.parallel.faults.FaultPlan` armed on
-    every rank (both backends).  ``on_rank_failure`` selects the socket
-    backend's response to a mid-run rank loss: ``"abort"`` (default,
-    raise :class:`CommError`) or ``"degrade"`` (continue with the
-    survivors and report the losses on the run result) — the simulated
-    backend has no partial-death mode and ignores it.
+    ``faults`` (a :class:`~repro.parallel.faults.FaultPlan`) and
+    ``trace_dir`` are armed on every rank, on both backends, through the
+    one comm interception point (:func:`~repro.parallel.trace.intercept`):
+    faults fire before an op, the trace records it after it returns.
+    ``trace_dir`` receives one canonical event-trace file per rank;
+    recording is purely local (no payload, ordering or RNG effect), so
+    traced runs are bit-identical to untraced ones.  ``repro commcheck
+    --trace`` replays these traces against the static protocol skeletons.
 
-    ``trace_dir`` arms a :class:`~repro.parallel.trace.CommTraceRecorder`
-    on every rank (both backends) and writes one canonical
-    event-trace file per rank into the directory; recording is purely
-    local (no payload, ordering or RNG effect), so traced runs are
-    bit-identical to untraced ones.  ``repro commcheck --trace`` replays
-    these traces against the static protocol skeletons.
+    ``on_rank_failure`` selects the socket backend's response to a
+    mid-run rank loss: ``"abort"`` (default, raise :class:`CommError`) or
+    ``"degrade"`` (continue with the survivors and report the losses on
+    the run result) — the simulated backend has no partial-death mode
+    and ignores it.
     """
     validate_cluster(kind)
     if kind == "sim":

@@ -81,17 +81,6 @@ class Communicator(abc.ABC):
         out = self.gather(obj, root=0)
         return self.bcast(out, root=0)
 
-    # -- liveness ---------------------------------------------------------
-    def dead_peers(self) -> frozenset[int]:
-        """Ranks this endpoint knows are gone (finished or died).
-
-        Departure knowledge is transport-dependent and lazily acquired —
-        a peer's death is only discovered when the transport reports it
-        (EOF, PEERDOWN) — so this is a lower bound, not an oracle.
-        Backends with no departure signal return the empty set.
-        """
-        return frozenset()
-
     # -- timing -----------------------------------------------------------
     @abc.abstractmethod
     def elapsed(self) -> float:

@@ -147,10 +147,6 @@ class BufferedComm(Communicator):
         self.gather(None, root=0)
         self.bcast(None, root=0)
 
-    # -- liveness ---------------------------------------------------------
-    def dead_peers(self) -> frozenset[int]:
-        return frozenset(self._dead)
-
     # -- timing -----------------------------------------------------------
     def elapsed(self) -> float:
         return time.perf_counter() - self._t0

@@ -50,6 +50,7 @@ from repro.parallel.mpi.comm import (
 )
 from repro.parallel.mpi.message import Message
 from repro.parallel.mpi.netmodel import NetworkModel
+from repro.parallel.trace import instrument
 
 __all__ = ["SimCluster", "SimRunResult"]
 
@@ -162,7 +163,9 @@ class SimCluster:
         ``CommError`` on ranks blocked on it), deterministically.
     trace_dir:
         Optional directory for per-rank comm-event traces
-        (:class:`~repro.parallel.trace.CommTraceRecorder`); recording is
+        (:class:`~repro.parallel.trace.CommTraceRecorder`).  Faults and
+        tracing share one comm interception point
+        (:func:`~repro.parallel.trace.instrument`); recording is
         local-only, so traced runs stay bit-identical.
     """
 
@@ -211,14 +214,7 @@ class SimCluster:
         """
         if per_rank_kwargs is not None and len(per_rank_kwargs) != self.size:
             raise ValueError("per_rank_kwargs must have one entry per rank")
-        if self.faults is not None:
-            from repro.parallel.faults import FaultedFn
-
-            fn = FaultedFn(fn, self.faults.resolve(self.size), mode="exception")
-        if self.trace_dir is not None:
-            from repro.parallel.trace import TracedFn
-
-            fn = TracedFn(fn, self.trace_dir)
+        fn = instrument(fn, self.size, self.faults, self.trace_dir, mode="exception")
         results: list[Any] = [None] * self.size
         errors: list[BaseException | None] = [None] * self.size
 

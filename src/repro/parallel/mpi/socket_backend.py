@@ -95,6 +95,7 @@ from repro.parallel.mpi.liveness import (
     LivenessMonitor,
     default_heartbeat_timeout,
 )
+from repro.parallel.trace import instrument
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ← comm)
     from repro.parallel.faults import FaultPlan
@@ -453,7 +454,9 @@ class SocketCluster:
         run continues with the survivors.
     trace_dir:
         Optional directory for per-rank comm-event traces
-        (:class:`~repro.parallel.trace.CommTraceRecorder`); recording is
+        (:class:`~repro.parallel.trace.CommTraceRecorder`).  Faults and
+        tracing share one comm interception point
+        (:func:`~repro.parallel.trace.instrument`); recording is
         local-only, so traced runs stay bit-identical.
     """
 
@@ -518,14 +521,7 @@ class SocketCluster:
         """
         if per_rank_kwargs is not None and len(per_rank_kwargs) != self.size:
             raise ValueError("per_rank_kwargs must have one entry per rank")
-        if self.faults is not None:
-            from repro.parallel.faults import FaultedFn
-
-            fn = FaultedFn(fn, self.faults.resolve(self.size), mode="process")
-        if self.trace_dir is not None:
-            from repro.parallel.trace import TracedFn
-
-            fn = TracedFn(fn, self.trace_dir)
+        fn = instrument(fn, self.size, self.faults, self.trace_dir, mode="process")
         ctx = mp.get_context(self.start_method)
         # Per-run session token: a reconnecting rank must present it with
         # its re-HELLO, so a stray client (or a rank from a previous run

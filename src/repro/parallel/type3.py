@@ -199,6 +199,49 @@ def _spmd(
     return _slave(comm, spec, iterations, retry_threshold)
 
 
+def _close_out(res, p: int, strategy: str, cluster: str,
+               plan: FaultPlan | None, on_rank_failure: str
+               ) -> tuple[dict, list[dict], dict]:
+    """``(master, survivors, extras)`` of a store-plus-searchers run.
+
+    Shared by both Type III runners: losing the store (rank 0) or every
+    searcher aborts; ``extras`` holds the cluster, ``faults``,
+    ``on_rank_failure`` and ``degraded`` entries.
+    """
+    lost_backend = dict(getattr(res, "lost", {}) or {})
+    if 0 in lost_backend:
+        raise CommError(
+            f"{strategy} central store (rank 0) was lost; a degraded run "
+            f"cannot continue without it ({lost_backend[0]})"
+        )
+    master = res.results[0]
+    lost_ranks = sorted(set(master.get("lost_ranks", ())) | set(lost_backend))
+    slaves = [res.results[r] for r in range(1, p) if r not in lost_ranks]
+    if not slaves:
+        raise CommError(
+            f"all searching ranks were lost: {lost_backend or lost_ranks}"
+        )
+    extras: dict = {}
+    if cluster != "sim":
+        extras["cluster"] = cluster
+        extras["model_seconds"] = [m.seconds() for m in res.meters]
+        extras["wall_seconds"] = res.makespan
+    if plan is not None:
+        extras["faults"] = plan.spec()
+    if on_rank_failure != "abort":
+        extras["on_rank_failure"] = on_rank_failure
+    if lost_ranks:
+        extras["degraded"] = {
+            "lost_ranks": lost_ranks,
+            "p_effective": p - len(lost_ranks),
+            "reasons": {
+                str(r): lost_backend.get(r, "no DONE received")
+                for r in lost_ranks
+            },
+        }
+    return master, slaves, extras
+
+
 def run_type3(
     spec: ExperimentSpec,
     p: int,
@@ -249,21 +292,9 @@ def run_type3(
             "on_rank_failure": on_rank_failure,
         },
     )
-    lost_backend = dict(getattr(res, "lost", {}) or {})
-    if 0 in lost_backend:
-        raise CommError(
-            "type3 central store (rank 0) was lost; a degraded run "
-            f"cannot continue without it ({lost_backend[0]})"
-        )
-    master = res.results[0]
-    lost_ranks = sorted(set(master.get("lost_ranks", ())) | set(lost_backend))
-    slaves = [
-        res.results[r] for r in range(1, p) if r not in lost_ranks
-    ]
-    if not slaves:
-        raise CommError(
-            f"all searching ranks were lost: {lost_backend or lost_ranks}"
-        )
+    master, slaves, tail = _close_out(
+        res, p, "type3", cluster, plan, on_rank_failure
+    )
     best_slave = max(slaves, key=lambda s: s["best_mu"])
     best_mu = max(master["best_mu"], best_slave["best_mu"])
     # Runtime: the searchers' makespan (the store idles by design).
@@ -274,24 +305,8 @@ def run_type3(
         "adoptions": master["adoptions"],
         "slave_mus": [s["best_mu"] for s in slaves],
         "rank_clocks": res.clocks,
+        **tail,
     }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    if plan is not None:
-        extras["faults"] = plan.spec()
-    if on_rank_failure != "abort":
-        extras["on_rank_failure"] = on_rank_failure
-    if lost_ranks:
-        extras["degraded"] = {
-            "lost_ranks": lost_ranks,
-            "p_effective": p - len(lost_ranks),
-            "reasons": {
-                str(r): lost_backend.get(r, "no DONE received")
-                for r in lost_ranks
-            },
-        }
     return ParallelOutcome(
         strategy="type3",
         circuit=spec.circuit,

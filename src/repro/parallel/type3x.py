@@ -29,7 +29,7 @@ from repro.layout.grid import RowGrid
 from repro.layout.placement import Placement
 from repro.parallel.faults import FaultPlan, as_plan
 from repro.parallel.mpi.backend import make_cluster
-from repro.parallel.mpi.comm import CommError, Communicator
+from repro.parallel.mpi.comm import Communicator
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.runners import (
     ExperimentSpec,
@@ -40,6 +40,7 @@ from repro.parallel.runners import (
 )
 from repro.parallel.type3 import (  # shared central-store protocol
     _TAG_STORE,
+    _close_out,
     _master,
 )
 from repro.sime.config import SimEConfig
@@ -231,45 +232,20 @@ def run_type3_diversified(
             "on_rank_failure": on_rank_failure,
         },
     )
-    lost_backend = dict(getattr(res, "lost", {}) or {})
-    if 0 in lost_backend:
-        raise CommError(
-            "central store (rank 0) was lost; a degraded run cannot "
-            f"continue without it ({lost_backend[0]})"
-        )
-    master = res.results[0]
-    lost_ranks = sorted(set(master.get("lost_ranks", ())) | set(lost_backend))
-    slaves = [res.results[r] for r in range(1, p) if r not in lost_ranks]
-    if not slaves:
-        raise CommError(
-            f"all searching ranks were lost: {lost_backend or lost_ranks}"
-        )
+    strategy = "type3x" if crossover else "type3-diverse"
+    master, slaves, tail = _close_out(
+        res, p, strategy, cluster, plan, on_rank_failure
+    )
     best_slave = max(slaves, key=lambda s: s["best_mu"])
     extras = {
         "retry_threshold": retry_threshold,
         "crossover": crossover,
         "crossovers": sum(s["crossovers"] for s in slaves),
         "slave_mus": [s["best_mu"] for s in slaves],
+        **tail,
     }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    if plan is not None:
-        extras["faults"] = plan.spec()
-    if on_rank_failure != "abort":
-        extras["on_rank_failure"] = on_rank_failure
-    if lost_ranks:
-        extras["degraded"] = {
-            "lost_ranks": lost_ranks,
-            "p_effective": p - len(lost_ranks),
-            "reasons": {
-                str(r): lost_backend.get(r, "no DONE received")
-                for r in lost_ranks
-            },
-        }
     return ParallelOutcome(
-        strategy="type3x" if crossover else "type3-diverse",
+        strategy=strategy,
         circuit=spec.circuit,
         objectives=spec.objectives,
         p=p,

@@ -457,6 +457,20 @@ def test_deadline_rejects_non_finite_and_non_positive(verb, bad, tmp_path, capsy
     assert not list(tmp_path.iterdir())  # nothing ran, nothing written
 
 
+@pytest.mark.parametrize("verb", [
+    ["run", "--circuit", "s1196", "--strategy", "type3", "--p", "3",
+     "--iterations", "3"],
+    ["sweep", "--smoke", "--no-cache"],
+])
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_fault_delay_rejects_non_finite_seconds(verb, seconds, tmp_path, capsys):
+    spec = f"delay:rank=1:at=1:seconds={seconds}"
+    code = main(verb + ["--inject-faults", spec, "--out", str(tmp_path)])
+    assert code == 2
+    assert "seconds" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
+
+
 @pytest.mark.parametrize("argv", [
     ["--strategy", "serial", "--inject-faults", "kill:at=3"],
     ["--strategy", "type2", "--on-rank-failure", "degrade"],

@@ -17,8 +17,15 @@ from repro.parallel.faults import (
     format_faults,
     parse_faults,
 )
+from repro.parallel.mpi.backend import make_cluster
 from repro.parallel.mpi.comm import CommError
 from repro.parallel.mpi.simcluster import SimCluster
+from repro.parallel.trace import load_trace
+
+# The conformance suite's backend fixture: the drop case runs on every
+# registered backend, so the plan also crosses the socket backend's
+# pickle boundary.
+from tests.parallel.test_backend_conformance import backend  # noqa: F401
 
 
 # ----------------------------------------------------------- spec language
@@ -48,6 +55,10 @@ def test_format_round_trips():
     "kill:at=zero",          # non-integer value
     "kill:at=0",             # at must be >= 1
     "kill:at=1:attempt=0",   # attempt must be >= 1
+    "delay:at=1:seconds=-1",  # seconds must be >= 0
+    "delay:at=1:seconds=nan",  # ... and finite
+    "delay:at=1:seconds=inf",
+    "delay:at=1:seconds=-inf",
     "",                      # no clauses at all
     ";;",
 ])
@@ -162,3 +173,46 @@ def test_collective_ops_count_toward_firing_point():
     plan = FaultPlan.parse("kill:rank=1:at=3", seed=0)
     with pytest.raises(InjectedFault, match="at comm op 3"):
         SimCluster(2, faults=plan).run(collective_only)
+
+
+# ------------------------------------------ faults composed with tracing
+
+
+def _w_three_sends(comm, expect=3):
+    """Rank 1 sends three tagged messages, then both ranks join a bcast."""
+    got = None
+    if comm.rank == 1:
+        for msg in ("a", "b", "c"):
+            comm.send(msg, 0, tag=4)
+    else:
+        got = [comm.recv(1, tag=4)[1] for _ in range(expect)]
+    return got, comm.bcast("go" if comm.rank == 0 else None, root=0)
+
+
+def test_drop_discards_exactly_that_send_and_leaves_it_untraced(backend, tmp_path):
+    plan = FaultPlan.parse("drop:rank=1:at=2", seed=0)
+    res = make_cluster(backend, 2, faults=plan, trace_dir=str(tmp_path)).run(
+        _w_three_sends, kwargs={"expect": 2}
+    )
+    assert res.results[0] == (["a", "c"], "go")
+    assert res.results[1] == (None, "go")
+    traces = load_trace(tmp_path)
+    assert [e["op"] for e in traces[1]] == ["send", "send", "bcast"]
+    assert [e["op"] for e in traces[0]] == ["recv", "recv", "bcast"]
+
+
+def test_zero_delay_is_bit_identical_to_an_unfaulted_run():
+    clean = SimCluster(2).run(_w_three_sends)
+    plan = FaultPlan.parse("delay:rank=1:at=2:seconds=0", seed=0)
+    delayed = SimCluster(2, faults=plan).run(_w_three_sends)
+    assert delayed.results == clean.results == [(["a", "b", "c"], "go"), (None, "go")]
+    assert delayed.clocks == clean.clocks
+
+
+def test_kill_raises_and_keeps_the_victims_partial_trace(tmp_path):
+    plan = FaultPlan.parse("kill:rank=1:at=2", seed=0)
+    with pytest.raises(InjectedFault, match="rank 1 at comm op 2"):
+        SimCluster(2, faults=plan, trace_dir=str(tmp_path)).run(_w_three_sends)
+    traces = load_trace(tmp_path)
+    assert [e["op"] for e in traces[1]] == ["send"]
+    assert traces[1][0]["dst"] == 0 and traces[1][0]["tag"] == 4
